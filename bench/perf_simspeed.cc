@@ -46,8 +46,8 @@
 #include <vector>
 
 #include "src/common/random.h"
-#include "src/sim/binary_heap_queue.h"
 #include "src/sim/event_queue.h"
+#include "testing/binary_heap_queue.h"
 
 namespace slacker::sim {
 namespace {

@@ -6,10 +6,9 @@ DeltaShipper::DeltaShipper(const wal::Binlog* source_log,
                            storage::Lsn applied_lsn)
     : source_log_(source_log), applied_lsn_(applied_lsn) {}
 
-void DeltaShipper::RestrictToKeys(uint64_t lo, uint64_t hi) {
-  key_filtered_ = true;
-  key_lo_ = lo;
-  key_hi_ = hi;
+void DeltaShipper::RestrictToRange(const range::KeyRange& range) {
+  key_filtered_ = !range.IsFull();
+  keys_ = range;
 }
 
 uint64_t DeltaShipper::PendingBytes() const {
@@ -31,8 +30,7 @@ uint64_t DeltaShipper::PendingBytes() const {
   uint64_t pending = 0;
   for (size_t i = 0; i < records.size(); ++i) {
     const wal::LogRecord& r = records[i];
-    if (r.type == wal::LogType::kCommit ||
-        (r.key >= key_lo_ && r.key < key_hi_)) {
+    if (r.type == wal::LogType::kCommit || keys_.Contains(r.key)) {
       pending += record_bytes[i];
     }
   }
@@ -54,8 +52,8 @@ Result<DeltaRound> DeltaShipper::ReadRound() {
                                                    &records, &record_bytes));
     for (size_t i = 0; i < records.size(); ++i) {
       const wal::LogRecord& r = records[i];
-      const bool keep = r.type == wal::LogType::kCommit ||
-                        (r.key >= key_lo_ && r.key < key_hi_);
+      const bool keep =
+          r.type == wal::LogType::kCommit || keys_.Contains(r.key);
       if (!keep) continue;
       round.records.push_back(r);
       round.bytes += record_bytes[i];

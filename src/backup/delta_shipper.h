@@ -8,6 +8,7 @@
 #include "src/common/status.h"
 #include "src/engine/tenant_db.h"
 #include "src/obs/metric_registry.h"
+#include "src/range/key_range.h"
 #include "src/wal/binlog.h"
 #include "src/wal/recovery.h"
 
@@ -32,13 +33,14 @@ class DeltaShipper {
   /// Rounds start after `applied_lsn` (the snapshot's start LSN).
   DeltaShipper(const wal::Binlog* source_log, storage::Lsn applied_lsn);
 
-  /// Restricts rounds to row changes with key in [lo, hi) — a
-  /// range-granular migration ships only its unit's deltas. Commit
+  /// Restricts rounds to row changes with key in `range` — a job over
+  /// one fluid-migration unit ships only its unit's deltas. Commit
   /// records always ship (they carry no row and keep transaction
   /// boundaries intact at the target). Rounds still advance through
   /// the full LSN sequence; filtered-out records are simply not
-  /// shipped, since another job owns them.
-  void RestrictToKeys(uint64_t lo, uint64_t hi);
+  /// shipped, since another job owns them. The full range filters
+  /// nothing, so whole-tenant jobs skip the per-record scan.
+  void RestrictToRange(const range::KeyRange& range);
 
   /// Bytes of log not yet shipped.
   uint64_t PendingBytes() const;
@@ -66,8 +68,7 @@ class DeltaShipper {
   const wal::Binlog* source_log_;
   storage::Lsn applied_lsn_;
   bool key_filtered_ = false;
-  uint64_t key_lo_ = 0;
-  uint64_t key_hi_ = 0;
+  range::KeyRange keys_;
   int rounds_shipped_ = 0;
   uint64_t bytes_shipped_ = 0;
   obs::Counter* rounds_counter_ = nullptr;

@@ -46,29 +46,27 @@ void TenantDb::Load() {
 }
 
 void TenantDb::ExecuteOp(const Operation& op, OpCallback done) {
-  if (frozen_) {
+  if (frozen_ && TouchesFrozenRange(op)) {
     frozen_queue_.push_back(PendingOp{op, std::move(done)});
-    return;
-  }
-  if (range_frozen_ && TouchesFrozenRange(op)) {
-    range_frozen_queue_.push_back(PendingOp{op, std::move(done)});
     return;
   }
   StartOp(op, std::move(done));
 }
 
 bool TenantDb::TouchesFrozenRange(const Operation& op) const {
+  // The whole-tenant freeze holds back every operation.
+  if (freeze_lo_ == 0 && freeze_hi_ == UINT64_MAX) return true;
   if (op.type == OpType::kInsert) {
     // Inserts land at the next insert cursor, not op.key.
-    return next_insert_key_ >= range_lo_ && next_insert_key_ < range_hi_;
+    return next_insert_key_ >= freeze_lo_ && next_insert_key_ < freeze_hi_;
   }
   if (op.type == OpType::kScan) {
     const uint64_t len = std::max<uint64_t>(op.scan_length, 1);
     const uint64_t end =
         len > UINT64_MAX - op.key ? UINT64_MAX : op.key + len;
-    return op.key < range_hi_ && end > range_lo_;
+    return op.key < freeze_hi_ && end > freeze_lo_;
   }
-  return op.key >= range_lo_ && op.key < range_hi_;
+  return op.key >= freeze_lo_ && op.key < freeze_hi_;
 }
 
 uint64_t TenantDb::RegisterOp(const Operation& op, OpCallback done) {
@@ -181,9 +179,7 @@ void TenantDb::FinishOp(const Operation& op, uint64_t token) {
   if (it == pending_done_.end()) return;  // Claimed by FailInFlight.
   OpCallback done = std::move(it->second.done);
   pending_done_.erase(it);
-  if (range_frozen_ && range_draining_tokens_.erase(token) > 0) {
-    MaybeNotifyRangeDrained();
-  }
+  if (frozen_ && draining_tokens_.erase(token) > 0) MaybeNotifyDrained();
   if (op_latency_hist_ != nullptr) {
     auto start = op_start_.find(token);
     if (start != op_start_.end()) {
@@ -203,7 +199,6 @@ void TenantDb::FinishOp(const Operation& op, uint64_t token) {
   }
   ++ops_executed_;
   --in_flight_;
-  MaybeNotifyDrained();
   if (done) done(status, written);
 }
 
@@ -269,14 +264,30 @@ void TenantDb::Commit(uint64_t txn_id, std::function<void()> done) {
   sim_->After(config_.commit_latency, std::move(done));
 }
 
-void TenantDb::Freeze(std::function<void()> drained) {
+void TenantDb::Freeze(std::function<void()> drained, uint64_t lo,
+                      uint64_t hi) {
+  if (frozen_) {
+    lo = std::min(lo, freeze_lo_);
+    hi = std::max(hi, freeze_hi_);
+  }
   frozen_ = true;
+  freeze_lo_ = lo;
+  freeze_hi_ = hi;
+  // Drain exactly the in-flight ops that overlap the range — recorded
+  // as a token set so the membership decision is made once, here, and
+  // cannot drift as the insert cursor advances.
+  draining_tokens_.clear();
+  for (const auto& [token, pending] : pending_done_) {
+    if (TouchesFrozenRange(pending.op)) draining_tokens_.insert(token);
+  }
   drain_waiters_.push_back(std::move(drained));
   MaybeNotifyDrained();
 }
 
 void TenantDb::MaybeNotifyDrained() {
-  if (!frozen_ || in_flight_ > 0 || drain_waiters_.empty()) return;
+  if (!frozen_ || !draining_tokens_.empty() || drain_waiters_.empty()) {
+    return;
+  }
   auto waiters = std::move(drain_waiters_);
   drain_waiters_.clear();
   for (auto& w : waiters) {
@@ -286,6 +297,7 @@ void TenantDb::MaybeNotifyDrained() {
 
 void TenantDb::Unfreeze() {
   frozen_ = false;
+  draining_tokens_.clear();
   // Admit everything that queued behind the lock, in order.
   auto queued = std::move(frozen_queue_);
   frozen_queue_.clear();
@@ -295,6 +307,8 @@ void TenantDb::Unfreeze() {
 }
 
 void TenantDb::FailQueued() {
+  frozen_ = false;
+  draining_tokens_.clear();
   auto queued = std::move(frozen_queue_);
   frozen_queue_.clear();
   for (auto& pending : queued) {
@@ -307,71 +321,12 @@ void TenantDb::FailQueued() {
   }
 }
 
-void TenantDb::FreezeRange(uint64_t lo, uint64_t hi,
-                           std::function<void()> drained) {
-  SLACKER_CHECK(!range_frozen_, "range freeze already active");
-  range_frozen_ = true;
-  range_lo_ = lo;
-  range_hi_ = hi;
-  // Drain exactly the in-flight ops that overlap the range — recorded
-  // as a token set so the membership decision is made once, here, and
-  // cannot drift as the insert cursor advances.
-  range_draining_tokens_.clear();
-  for (const auto& [token, pending] : pending_done_) {
-    if (TouchesFrozenRange(pending.op)) range_draining_tokens_.insert(token);
-  }
-  range_drain_waiters_.push_back(std::move(drained));
-  MaybeNotifyRangeDrained();
-}
-
-void TenantDb::MaybeNotifyRangeDrained() {
-  if (!range_frozen_ || !range_draining_tokens_.empty() ||
-      range_drain_waiters_.empty()) {
-    return;
-  }
-  auto waiters = std::move(range_drain_waiters_);
-  range_drain_waiters_.clear();
-  for (auto& w : waiters) {
-    if (w) sim_->After(0.0, std::move(w));
-  }
-}
-
-void TenantDb::UnfreezeRange() {
-  range_frozen_ = false;
-  range_draining_tokens_.clear();
-  auto queued = std::move(range_frozen_queue_);
-  range_frozen_queue_.clear();
-  for (auto& pending : queued) {
-    if (frozen_) {
-      // A whole-tenant freeze began while the range was frozen; the
-      // released ops wait behind it like everything else.
-      frozen_queue_.push_back(std::move(pending));
-    } else {
-      StartOp(pending.op, std::move(pending.done));
-    }
-  }
-}
-
-void TenantDb::FailRangeQueued() {
-  range_frozen_ = false;
-  range_draining_tokens_.clear();
-  auto queued = std::move(range_frozen_queue_);
-  range_frozen_queue_.clear();
-  for (auto& pending : queued) {
-    if (pending.done) {
-      sim_->After(0.0, [done = std::move(pending.done)] {
-        done(Status::Unavailable("range migrated away"), WrittenRow{});
-      });
-    }
-  }
-}
-
 void TenantDb::FailInFlight(const Status& status) {
   auto pending = std::move(pending_done_);
   pending_done_.clear();
   op_start_.clear();
   in_flight_ = 0;
-  range_draining_tokens_.clear();
+  draining_tokens_.clear();
   for (auto& [token, p] : pending) {
     if (!p.done) continue;
     // Defer: callers expect completion callbacks to arrive from the
@@ -388,16 +343,7 @@ void TenantDb::FailInFlight(const Status& status) {
       done(status, WrittenRow{});
     });
   }
-  auto range_queued = std::move(range_frozen_queue_);
-  range_frozen_queue_.clear();
-  for (auto& p : range_queued) {
-    if (!p.done) continue;
-    sim_->After(0.0, [done = std::move(p.done), status] {
-      done(status, WrittenRow{});
-    });
-  }
   MaybeNotifyDrained();
-  MaybeNotifyRangeDrained();
 }
 
 void TenantDb::ChargeSequentialRead(uint64_t bytes, uint64_t stream_id,
@@ -480,9 +426,10 @@ void TenantDb::SyncCursorsAfterIngest(storage::Lsn source_last_lsn) {
   }
 }
 
-uint64_t TenantDb::StateDigest() const {
+uint64_t TenantDb::StateDigest(uint64_t lo, uint64_t hi) const {
   uint64_t digest = 0xcbf29ce484222325ULL;
-  for (auto it = table_.Begin(); it.Valid(); it.Next()) {
+  for (auto it = table_.Seek(lo);
+       it.Valid() && (hi == UINT64_MAX || it.record().key < hi); it.Next()) {
     const storage::Record& r = it.record();
     digest = HashCombine(digest, r.key);
     digest = HashCombine(digest, r.lsn);
@@ -495,18 +442,6 @@ uint64_t TenantDb::DataBytes() const {
   return config_.layout.PagesFor(table_.size()) * config_.layout.page_bytes;
 }
 
-uint64_t TenantDb::StateDigestRange(uint64_t lo, uint64_t hi) const {
-  uint64_t digest = 0xcbf29ce484222325ULL;
-  for (auto it = table_.Seek(lo); it.Valid() && it.record().key < hi;
-       it.Next()) {
-    const storage::Record& r = it.record();
-    digest = HashCombine(digest, r.key);
-    digest = HashCombine(digest, r.lsn);
-    digest = HashCombine(digest, r.digest);
-  }
-  return digest;
-}
-
 uint64_t TenantDb::RowsInRange(uint64_t lo, uint64_t hi) const {
   uint64_t rows = 0;
   for (auto it = table_.Seek(lo); it.Valid() && it.record().key < hi;
@@ -514,11 +449,6 @@ uint64_t TenantDb::RowsInRange(uint64_t lo, uint64_t hi) const {
     ++rows;
   }
   return rows;
-}
-
-uint64_t TenantDb::DataBytesRange(uint64_t lo, uint64_t hi) const {
-  return config_.layout.PagesFor(RowsInRange(lo, hi)) *
-         config_.layout.page_bytes;
 }
 
 uint64_t TenantDb::EraseRangeRows(uint64_t lo, uint64_t hi) {

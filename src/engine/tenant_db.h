@@ -85,38 +85,33 @@ class TenantDb {
   void WarmBufferPool();
 
   /// Executes one operation; `done` fires when its CPU and I/O are
-  /// complete. While frozen, operations queue and wait (global read
-  /// lock semantics).
+  /// complete. Operations touching a frozen range queue and wait
+  /// (global read lock semantics for a whole-tenant freeze).
   void ExecuteOp(const Operation& op, OpCallback done);
 
   /// Appends the transaction commit record and charges the group-commit
   /// latency; `done` fires when the commit is durable.
   void Commit(uint64_t txn_id, std::function<void()> done);
 
-  /// Stops admitting operations; `drained` fires once in-flight work
-  /// completes (the freeze step of handover / stop-and-copy).
-  void Freeze(std::function<void()> drained);
-  void Unfreeze();
-  /// Fails every operation queued behind the freeze with kUnavailable —
-  /// used after handover when this replica stops being authoritative
-  /// (clients re-resolve and retry at the target).
-  void FailQueued();
-
-  // --- Range-scoped freeze (fluid migration, DESIGN.md §16) ---------
-  /// Stops admitting operations touching keys in [lo, hi) only; other
+  /// Stops admitting operations that touch a key in [lo, hi); other
   /// keys keep executing. `drained` fires once every in-flight
-  /// operation that overlaps the range completes — the per-range
-  /// freeze window, orders of magnitude shorter than a whole-tenant
-  /// freeze. One range freeze at a time; bounds are raw integers so
-  /// the engine stays below the range module in the layer DAG.
-  void FreezeRange(uint64_t lo, uint64_t hi, std::function<void()> drained);
-  /// Re-admits operations queued behind the range freeze, in order.
-  void UnfreezeRange();
-  /// Fails operations queued behind the range freeze with kUnavailable
-  /// (the range handed over; clients re-resolve to the new owner) and
-  /// lifts the freeze for future out-of-range admissions.
-  void FailRangeQueued();
-  bool range_frozen() const { return range_frozen_; }
+  /// operation that overlaps the range completes (the freeze step of
+  /// handover / stop-and-copy). The defaults freeze the whole tenant;
+  /// a narrower range is one fluid-migration unit (DESIGN.md §16),
+  /// whose freeze window is orders of magnitude shorter. An `hi` of
+  /// UINT64_MAX (range::kNoUpperBound) is unbounded; bounds are raw
+  /// integers so the engine stays below the range module in the layer
+  /// DAG. One freeze at a time: freezing again while frozen widens the
+  /// freeze to cover both ranges, and one Unfreeze lifts it.
+  void Freeze(std::function<void()> drained, uint64_t lo = 0,
+              uint64_t hi = UINT64_MAX);
+  /// Lifts the freeze and re-admits the queued operations, in order.
+  void Unfreeze();
+  /// Lifts the freeze and fails every operation queued behind it with
+  /// kUnavailable — used after handover when this replica stops being
+  /// authoritative for the range (clients re-resolve and retry at the
+  /// target).
+  void FailQueued();
   /// Crash semantics: fails every *in-flight* operation (those already
   /// inside the CPU/disk pipeline) and everything queued behind a
   /// freeze with `status`. Late resource completions for those ops
@@ -165,22 +160,19 @@ class TenantDb {
   /// the first LSN actually retained.
   storage::Lsn PurgeBinlog(storage::Lsn upto);
 
-  /// Order-sensitive digest over (key, lsn, digest) of every row; equal
-  /// digests mean byte-identical logical tables.
-  uint64_t StateDigest() const;
+  /// Order-sensitive digest over (key, lsn, digest) of every row with
+  /// key in [lo, hi); equal digests mean byte-identical logical tables
+  /// (or ranges — what source and target compare at handover). An `hi`
+  /// of UINT64_MAX scans to the end of the table.
+  uint64_t StateDigest(uint64_t lo = 0, uint64_t hi = UINT64_MAX) const;
 
   /// Logical bytes of table data (what a migration must copy).
   uint64_t DataBytes() const;
   /// Current data-directory inventory (table data + binlog).
   storage::DataDirectory Directory() const;
 
-  /// Order-sensitive digest over rows with key in [lo, hi) only —
-  /// what source and target compare at a per-range handover.
-  uint64_t StateDigestRange(uint64_t lo, uint64_t hi) const;
   /// Rows currently stored with key in [lo, hi).
   uint64_t RowsInRange(uint64_t lo, uint64_t hi) const;
-  /// Logical bytes a migration of [lo, hi) must copy.
-  uint64_t DataBytesRange(uint64_t lo, uint64_t hi) const;
   /// Drops every row with key in [lo, hi) without logging (the range
   /// handed over; those rows now live on the new owner). Returns the
   /// number of rows dropped.
@@ -188,7 +180,6 @@ class TenantDb {
 
   uint64_t ops_executed() const { return ops_executed_; }
   size_t queued_ops() const { return frozen_queue_.size(); }
-  size_t range_queued_ops() const { return range_frozen_queue_.size(); }
   int in_flight() const { return in_flight_; }
 
   /// Hooks engine-level metrics into an observability registry: every
@@ -218,7 +209,6 @@ class TenantDb {
   uint64_t RegisterOp(const Operation& op, OpCallback done);
   WrittenRow ApplyWrite(const Operation& op);
   void MaybeNotifyDrained();
-  void MaybeNotifyRangeDrained();
   /// Whether `op` reads or writes a key inside the frozen range (an
   /// insert touches it iff the next insert key would land there).
   bool TouchesFrozenRange(const Operation& op) const;
@@ -241,21 +231,17 @@ class TenantDb {
   std::map<int, storage::Lsn> binlog_pins_;
   int next_pin_token_ = 1;
 
+  /// The freeze: only ops touching [freeze_lo_, freeze_hi_) queue; the
+  /// drain waits on exactly the in-flight tokens that overlapped the
+  /// range at freeze time.
   bool frozen_ = false;
+  uint64_t freeze_lo_ = 0;
+  uint64_t freeze_hi_ = 0;
   std::deque<PendingOp> frozen_queue_;
-  int in_flight_ = 0;
+  std::set<uint64_t> draining_tokens_;
   std::vector<std::function<void()>> drain_waiters_;
+  int in_flight_ = 0;
   uint64_t ops_executed_ = 0;
-
-  /// Range freeze (fluid migration): only ops touching [range_lo_,
-  /// range_hi_) queue; the drain waits on exactly the in-flight tokens
-  /// that overlapped the range at freeze time.
-  bool range_frozen_ = false;
-  uint64_t range_lo_ = 0;
-  uint64_t range_hi_ = 0;
-  std::deque<PendingOp> range_frozen_queue_;
-  std::set<uint64_t> range_draining_tokens_;
-  std::vector<std::function<void()>> range_drain_waiters_;
 
   uint64_t next_op_token_ = 1;
   std::map<uint64_t, PendingDone> pending_done_;

@@ -97,13 +97,15 @@ struct Message {
   /// A default (version 0) negotiation encodes to nothing, keeping the
   /// legacy wire bytes identical.
   NegotiationInfo negotiation;
-  /// kMigrateRequest: this migration moves only keys in
-  /// [range_lo, range_hi) — one unit of a fluid, range-granular
-  /// migration (DESIGN.md §16). Whole-tenant migrations leave it
-  /// false, which encodes to nothing (wire bytes stay identical).
-  bool range_scoped = false;
+  /// kMigrateRequest: the migration moves keys in [range_lo, range_hi)
+  /// (DESIGN.md §16). The default is the whole key space (an hi of
+  /// UINT64_MAX is range::kNoUpperBound), which encodes to nothing, so
+  /// whole-tenant requests keep the legacy wire bytes.
   uint64_t range_lo = 0;
-  uint64_t range_hi = 0;
+  uint64_t range_hi = UINT64_MAX;
+
+  /// Whether the range is the whole key space.
+  bool full_range() const { return range_lo == 0 && range_hi == UINT64_MAX; }
 
   bool operator==(const Message& other) const = default;
 

@@ -30,9 +30,9 @@ using EventId = uint64_t;
 ///    slots via per-level bitmaps; far-future events cascade down at
 ///    most kLevels times.
 ///
-/// Ordering contract (identical to the binary-heap queue this
-/// replaced, see BinaryHeapEventQueue): events run in ascending
-/// exact `when` (the full double, not the quantized tick), ties broken
+/// Ordering contract (identical to the binary-heap queue this replaced,
+/// kept as testing/binary_heap_queue.h): events run in ascending exact
+/// `when` (the full double, not the quantized tick), ties broken
 /// by Schedule() order, so runs are bit-deterministic regardless of
 /// wheel internals. Quantization only affects *bucketing*; events that
 /// land in the same 1 ms bucket are ordered by their exact (when, seq)

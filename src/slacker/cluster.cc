@@ -158,12 +158,14 @@ Status Cluster::RemoveTenant(uint64_t tenant_id) {
 Status Cluster::StartMigration(uint64_t tenant_id, uint64_t target_server,
                                const MigrationOptions& options,
                                MigrationJob::DoneCallback done) {
-  Result<uint64_t> host = directory_.Lookup(tenant_id);
-  SLACKER_RETURN_IF_ERROR(host.status());
+  // The job runs where the moving entry lives; it checks that the entry
+  // matches options.range exactly.
+  Result<uint64_t> source = ranges_.OwnerOf(tenant_id, options.range.lo);
+  SLACKER_RETURN_IF_ERROR(source.status());
   if (server(target_server) == nullptr) {
     return Status::NotFound("no such target server");
   }
-  if (!server(*host)->up()) {
+  if (!server(*source)->up()) {
     return Status::Unavailable("source server is down");
   }
   if (!server(target_server)->up()) {
@@ -172,41 +174,8 @@ Status Cluster::StartMigration(uint64_t tenant_id, uint64_t target_server,
   if (server(target_server)->draining()) {
     return Status::FailedPrecondition("target server is draining");
   }
-  return server(*host)->controller()->StartMigration(tenant_id, target_server,
-                                                     options, std::move(done));
-}
-
-Status Cluster::StartRangeMigration(uint64_t tenant_id,
-                                    const range::KeyRange& key_range,
-                                    uint64_t target_server,
-                                    const MigrationOptions& options,
-                                    MigrationJob::DoneCallback done) {
-  Result<range::OwnedRange> owned =
-      ranges_.RangeContaining(tenant_id, key_range.lo);
-  SLACKER_RETURN_IF_ERROR(owned.status());
-  if (!(owned->range == key_range)) {
-    return Status::InvalidArgument(
-        "range is not a registered unit (SplitTenantRange first): " +
-        key_range.ToString() + " vs " + owned->range.ToString());
-  }
-  const uint64_t source = owned->server;
-  if (server(target_server) == nullptr) {
-    return Status::NotFound("no such target server");
-  }
-  if (!server(source)->up()) {
-    return Status::Unavailable("source server is down");
-  }
-  if (!server(target_server)->up()) {
-    return Status::Unavailable("target server is down");
-  }
-  if (server(target_server)->draining()) {
-    return Status::FailedPrecondition("target server is draining");
-  }
-  MigrationOptions range_options = options;
-  range_options.range_scoped = true;
-  range_options.range = key_range;
-  return server(source)->controller()->StartMigration(
-      tenant_id, target_server, range_options, std::move(done));
+  return server(*source)->controller()->StartMigration(
+      tenant_id, target_server, options, std::move(done));
 }
 
 Status Cluster::SplitTenantRange(uint64_t tenant_id, uint64_t split_key) {

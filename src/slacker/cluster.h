@@ -145,20 +145,15 @@ class Cluster : public MigrationContext,
   Status RemoveTenant(uint64_t tenant_id);
 
   // --- Migration --------------------------------------------------
-  /// Migrates `tenant_id` from wherever it lives to `target_server`.
+  /// Migrates `options.range` of `tenant_id` to `target_server`: the
+  /// whole tenant by default, or one fluid-migration unit (DESIGN.md
+  /// §16). The range must match a current RangeDirectory entry exactly
+  /// — call SplitTenantRange first to carve units; a whole move of a
+  /// split tenant fails with kFailedPrecondition. The job runs on the
+  /// entry's owning server.
   Status StartMigration(uint64_t tenant_id, uint64_t target_server,
                         const MigrationOptions& options,
                         MigrationJob::DoneCallback done);
-  /// Migrates one registered range of `tenant_id` (DESIGN.md §16). The
-  /// range must match a current RangeDirectory unit exactly — call
-  /// SplitTenantRange first to carve units. The job runs on the range's
-  /// owning server (which may differ from the tenant directory entry
-  /// once the tenant is sharded).
-  Status StartRangeMigration(uint64_t tenant_id,
-                             const range::KeyRange& key_range,
-                             uint64_t target_server,
-                             const MigrationOptions& options,
-                             MigrationJob::DoneCallback done);
   /// Splits the range containing `split_key` in the router, making
   /// [lo, split_key) and [split_key, hi) independently migratable.
   /// Pure metadata: no data moves and no tenant instance is touched.

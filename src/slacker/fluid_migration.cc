@@ -38,9 +38,9 @@ Status FluidMigrator::Start() {
   if (started_) return Status::FailedPrecondition("already started");
   // The per-range template must not pre-bake a range; each job gets its
   // own. Validate the caller's intent before mutating the router.
-  if (options_.migration.range_scoped) {
+  if (!options_.migration.range.IsFull()) {
     return Status::InvalidArgument(
-        "leave migration.range_scoped unset; FluidMigrator fills it");
+        "leave migration.range unset; FluidMigrator fills it");
   }
   SLACKER_RETURN_IF_ERROR(options_.Validate());
   started_ = true;
@@ -87,11 +87,12 @@ void FluidMigrator::StartNextRange() {
     Finish(Status::Ok());
     return;
   }
-  const range::KeyRange next = pending_.front();
+  MigrationOptions job = options_.migration;
+  job.range = pending_.front();
   pending_.erase(pending_.begin());
   std::weak_ptr<bool> alive = alive_;
-  const Status launched = cluster_->StartRangeMigration(
-      tenant_id_, next, target_server_, options_.migration,
+  const Status launched = cluster_->StartMigration(
+      tenant_id_, target_server_, job,
       [this, alive](const MigrationReport& range_report) {
         if (alive.expired()) return;
         OnRangeDone(range_report);

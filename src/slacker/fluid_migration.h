@@ -22,7 +22,7 @@ struct FluidMigrationOptions {
   /// single range job moving [0, kNoUpperBound).
   size_t target_ranges = 8;
   /// Template for every per-range job (throttle, chunking, codec).
-  /// mode must be kLive; range_scoped/range are filled per job.
+  /// mode must be kLive; range is filled per job.
   MigrationOptions migration;
   /// Merge the tenant's ranges back into one after all of them land on
   /// the target (keeps the router table small once sharding is no

@@ -91,14 +91,15 @@ MigrationJob::MigrationJob(MigrationContext* ctx, uint64_t tenant_id,
   } else {
     tracer_ = nullptr;
   }
-  // Range jobs never resume: staged-chunk bookkeeping is per-tenant
-  // and a resumed range could interleave with another range's staging.
-  if (options_.range_scoped) options_.allow_resume = false;
+  // Only whole-tenant jobs resume: staged-chunk bookkeeping is
+  // per-tenant and a resumed range could interleave with another
+  // range's staging.
+  if (!options_.range.IsFull()) options_.allow_resume = false;
   report_.tenant_id = tenant_id;
   report_.source_server = source_server;
   report_.target_server = target_server;
   report_.mode = options.mode;
-  report_.range_scoped = options_.range_scoped;
+  report_.range_scoped = !options_.range.IsFull();
   report_.range = options_.range;
 }
 
@@ -118,30 +119,26 @@ Status MigrationJob::Start() {
     return Status::NotFound("tenant " + std::to_string(tenant_id_) +
                             " not on source server");
   }
-  if (options_.range_scoped) {
-    range::RangeDirectory* ranges = ctx_->range_directory();
-    if (ranges == nullptr) {
-      return Status::FailedPrecondition(
-          "range-scoped migration needs a range directory");
+  // The moved unit must be an exact directory entry owned by the
+  // source — the handover flips precisely this entry. A slice of an
+  // entry must be split off first; a span of several entries (a whole
+  // move of a sharded or split tenant) must move entry by entry.
+  const Result<range::OwnedRange> owned =
+      ctx_->range_directory()->RangeContaining(tenant_id_, options_.range.lo);
+  if (!owned.ok()) return owned.status();
+  if (!(owned->range == options_.range)) {
+    const std::string what = "range " + options_.range.ToString() +
+                             " is not a directory unit (found " +
+                             owned->range.ToString() + ")";
+    if (owned->range.lo == options_.range.lo &&
+        owned->range.hi < options_.range.hi) {
+      return Status::FailedPrecondition(what);
     }
-    // The moved unit must be an exact directory entry owned by the
-    // source — the handover flips precisely this entry.
-    const Result<range::OwnedRange> owned =
-        ranges->RangeContaining(tenant_id_, options_.range.lo);
-    if (!owned.ok()) return owned.status();
-    if (!(owned->range == options_.range)) {
-      return Status::FailedPrecondition(
-          "range " + options_.range.ToString() +
-          " is not a directory unit (found " + owned->range.ToString() + ")");
-    }
-    if (owned->server != source_server_) {
-      return Status::FailedPrecondition(
-          "range " + options_.range.ToString() + " not owned by source");
-    }
-    if (source_db_->range_frozen()) {
-      return Status::FailedPrecondition(
-          "source already has a range freeze in progress");
-    }
+    return Status::InvalidArgument(what + "; SplitTenantRange first");
+  }
+  if (owned->server != source_server_) {
+    return Status::FailedPrecondition(
+        "range " + options_.range.ToString() + " not owned by source");
   }
 
   policy_ = MakeThrottlePolicy(options_, ctx_->MonitorOn(source_server_),
@@ -199,11 +196,8 @@ Status MigrationJob::Start() {
   request.target_server = target_server_;
   request.config = WireConfigFrom(source_db_->config());
   request.resume = options_.allow_resume;
-  if (options_.range_scoped) {
-    request.range_scoped = true;
-    request.range_lo = options_.range.lo;
-    request.range_hi = options_.range.hi;
-  }
+  request.range_lo = options_.range.lo;
+  request.range_hi = options_.range.hi;
   // Versioned sources advertise their capabilities; the target echoes
   // its own in the accept and the pair downgrades to the common
   // feature set (OnAccepted). Version-0 sources skip the extension so
@@ -259,9 +253,6 @@ void MigrationJob::ForceAbort(Status status) {
   if (source_db_ != nullptr && source_db_->frozen()) {
     source_db_->Unfreeze();
   }
-  if (source_db_ != nullptr && source_db_->range_frozen()) {
-    source_db_->UnfreezeRange();
-  }
   Finish(std::move(status));
 }
 
@@ -287,9 +278,6 @@ Status MigrationJob::Cancel(const std::string& reason) {
   // Stop-and-copy froze the tenant up front; give it back.
   if (source_db_ != nullptr && source_db_->frozen()) {
     source_db_->Unfreeze();
-  }
-  if (source_db_ != nullptr && source_db_->range_frozen()) {
-    source_db_->UnfreezeRange();
   }
   Finish(Status::Aborted("cancelled: " + reason));
   return Status::Ok();
@@ -504,12 +492,7 @@ void MigrationJob::OnAccepted(bool resume_offer, const net::Message& message) {
   }
   if (options_.mode == MigrationMode::kStopAndCopy) {
     // Stop-and-copy freezes the tenant for the entire copy (§2.3.1).
-    freeze_time_ = sim_->Now();
-    freeze_span_ = obs::TraceSpan(tracer_, track_, "freeze", "handover");
-    source_db_->Freeze([this, alive = std::weak_ptr<bool>(alive_)] {
-      if (alive.expired()) return;
-      BeginSnapshot();
-    });
+    FreezeSource([this] { BeginSnapshot(); });
   } else {
     BeginSnapshot();
   }
@@ -553,22 +536,16 @@ void MigrationJob::NegotiateCapabilities(const net::Message& message) {
 
 void MigrationJob::BeginSnapshot() {
   EnterPhase(MigrationPhase::kSnapshot);
-  // A range job scans and ships only its unit; the delta filter keeps
+  // The job scans and ships only its unit; the delta filter keeps
   // other ranges' writes out of the stream (their jobs own them).
-  const uint64_t scan_from = options_.range_scoped
-                                 ? options_.range.lo
-                                 : (resuming_ ? resume_key_ : 0);
-  const uint64_t scan_to =
-      options_.range_scoped ? options_.range.hi : UINT64_MAX;
   snapshot_ = std::make_unique<backup::HotBackupStream>(
-      source_db_, options_.backup, scan_from, scan_to);
+      source_db_, options_.backup,
+      resuming_ ? resume_key_ : options_.range.lo, options_.range.hi);
   const storage::Lsn snap_lsn =
       resuming_ ? resume_lsn_ : snapshot_->start_lsn();
   shipper_ = std::make_unique<backup::DeltaShipper>(source_db_->binlog(),
                                                     snap_lsn);
-  if (options_.range_scoped) {
-    shipper_->RestrictToKeys(options_.range.lo, options_.range.hi);
-  }
+  shipper_->RestrictToRange(options_.range);
   if (tracer_ != nullptr) {
     const std::string labels = "tenant=" + std::to_string(tenant_id_);
     shipper_->AttachObs(
@@ -1057,20 +1034,19 @@ void MigrationJob::BeginHandover() {
     OnSourceDrained();
     return;
   }
+  FreezeSource([this] { OnSourceDrained(); });
+}
+
+void MigrationJob::FreezeSource(std::function<void()> drained) {
   freeze_time_ = sim_->Now();
   freeze_span_ = obs::TraceSpan(tracer_, track_, "freeze", "handover");
-  if (options_.range_scoped) {
-    // Only the moving unit freezes; the tenant keeps serving every
-    // other range — the fluid-migration point (DESIGN.md §16).
-    source_db_->FreezeRange(options_.range.lo, options_.range.hi,
-                            [this, alive = std::weak_ptr<bool>(alive_)] {
-                              if (!alive.expired()) OnSourceDrained();
-                            });
-    return;
-  }
-  source_db_->Freeze([this, alive = std::weak_ptr<bool>(alive_)] {
-    if (!alive.expired()) OnSourceDrained();
-  });
+  // Only the moving unit freezes; the tenant keeps serving every other
+  // range — the fluid-migration point (DESIGN.md §16).
+  source_db_->Freeze(
+      [alive = std::weak_ptr<bool>(alive_), drained = std::move(drained)] {
+        if (!alive.expired()) drained();
+      },
+      options_.range.lo, options_.range.hi);
 }
 
 void MigrationJob::OnSourceDrained() {
@@ -1084,10 +1060,8 @@ void MigrationJob::OnSourceDrained() {
     }
     final_round = std::move(*round);
   }
-  source_digest_ = options_.range_scoped
-                       ? source_db_->StateDigestRange(options_.range.lo,
-                                                      options_.range.hi)
-                       : source_db_->StateDigest();
+  source_digest_ = source_db_->StateDigest(options_.range.lo,
+                                           options_.range.hi);
   report_.delta_bytes += final_round.bytes;
   // The final round always ships unencoded (handover bypasses both the
   // throttle and the codec), so wire bytes equal logical bytes.
@@ -1125,71 +1099,30 @@ void MigrationJob::OnHandoverAck(const net::Message& message) {
     abort.tenant_id = tenant_id_;
     abort.error = "handover digest mismatch";
     ctx_->SendMessage(source_server_, target_server_, abort);
-    if (options_.range_scoped) {
-      source_db_->UnfreezeRange();
-    } else {
-      source_db_->Unfreeze();
-    }
+    source_db_->Unfreeze();
     Finish(Status::Corruption("handover digest mismatch"));
     return;
   }
-  if (options_.range_scoped) {
-    // The decision record for a range job is the RANGE directory entry
-    // (flipped strictly before the commit message, mirroring the
-    // whole-tenant discipline with the tenant directory).
-    range::RangeDirectory* ranges = ctx_->range_directory();
-    const Status moved =
-        ranges->MoveRange(tenant_id_, options_.range, target_server_);
-    if (!moved.ok()) {
-      source_db_->UnfreezeRange();
-      Finish(moved);
-      return;
-    }
-    net::Message commit;
-    commit.type = net::MessageType::kHandoverCommit;
-    commit.tenant_id = tenant_id_;
-    ctx_->SendMessage(source_server_, target_server_, commit);
-    report_.downtime_ms = MsFromSeconds(sim_->Now() - freeze_time_);
-    freeze_span_.AddArg("downtime_ms", report_.downtime_ms);
-    freeze_span_.End();
-    // Ops stranded behind the range freeze bounce; clients re-resolve
-    // by key and retry at the new owner.
-    source_db_->FailRangeQueued();
-    // The handed-over rows now live at the target; drop the source's
-    // copy of just this unit.
-    source_db_->EraseRangeRows(options_.range.lo, options_.range.hi);
-    const std::vector<uint64_t> owners = ranges->ServersOf(tenant_id_);
-    const bool source_still_owns =
-        std::find(owners.begin(), owners.end(), source_server_) !=
-        owners.end();
-    if (!source_still_owns) {
-      // Last range left this server: retire the now-empty instance.
-      const Status deleted = ctx_->DeleteTenantOn(source_server_, tenant_id_);
-      if (!deleted.ok()) {
-        SLACKER_LOG_WARN << "delete of drained source copy for tenant "
-                         << tenant_id_ << " failed: " << deleted.ToString();
-      }
-      source_db_ = nullptr;
-    }
-    if (owners.size() == 1) {
-      // The tenant converged onto a single server: keep the
-      // whole-tenant directory (the coarse view every non-range
-      // consumer reads) in agreement with range ownership.
-      const Status dir_status = ctx_->directory()->Update(tenant_id_,
-                                                          owners.front());
-      if (!dir_status.ok()) {
-        SLACKER_LOG_WARN << "tenant directory sync for tenant " << tenant_id_
-                         << " failed: " << dir_status.ToString();
-      }
-    }
-    Finish(Status::Ok());
+  // The decision record is the range directory entry, flipped strictly
+  // before the commit message. Once a single owner remains, the
+  // whole-tenant directory (the coarse view every non-range consumer
+  // reads) follows in the same step.
+  range::RangeDirectory* ranges = ctx_->range_directory();
+  const Status moved =
+      ranges->MoveRange(tenant_id_, options_.range, target_server_);
+  if (!moved.ok()) {
+    source_db_->Unfreeze();
+    Finish(moved);
     return;
   }
-  const Status dir_status =
-      ctx_->directory()->Update(tenant_id_, target_server_);
-  if (!dir_status.ok()) {
-    Finish(dir_status);
-    return;
+  const std::vector<uint64_t> owners = ranges->ServersOf(tenant_id_);
+  if (owners.size() == 1) {
+    const Status dir_status =
+        ctx_->directory()->Update(tenant_id_, owners.front());
+    if (!dir_status.ok()) {
+      SLACKER_LOG_WARN << "tenant directory sync for tenant " << tenant_id_
+                       << " failed: " << dir_status.ToString();
+    }
   }
   // Digests agree: commit — the target unfreezes and serves.
   net::Message commit;
@@ -1199,17 +1132,25 @@ void MigrationJob::OnHandoverAck(const net::Message& message) {
   report_.downtime_ms = MsFromSeconds(sim_->Now() - freeze_time_);
   freeze_span_.AddArg("downtime_ms", report_.downtime_ms);
   freeze_span_.End();
-  // Queries stranded behind the source's read lock bounce to the new
-  // authoritative replica (clients re-resolve and retry).
+  // Queries stranded behind the freeze bounce to the new authoritative
+  // replica (clients re-resolve and retry).
   source_db_->FailQueued();
-  const Status deleted = ctx_->DeleteTenantOn(source_server_, tenant_id_);
-  if (!deleted.ok()) {
-    // Authority already moved to the target; a stale source copy is
-    // garbage, not a correctness problem, but worth surfacing.
-    SLACKER_LOG_WARN << "delete of migrated source copy for tenant "
-                     << tenant_id_ << " failed: " << deleted.ToString();
+  if (std::find(owners.begin(), owners.end(), source_server_) !=
+      owners.end()) {
+    // The source keeps serving its other ranges; drop its copy of
+    // just the handed-over unit.
+    source_db_->EraseRangeRows(options_.range.lo, options_.range.hi);
+  } else {
+    // The last range left this server: retire the instance.
+    const Status deleted = ctx_->DeleteTenantOn(source_server_, tenant_id_);
+    if (!deleted.ok()) {
+      // Authority already moved to the target; a stale source copy is
+      // garbage, not a correctness problem, but worth surfacing.
+      SLACKER_LOG_WARN << "delete of migrated source copy for tenant "
+                       << tenant_id_ << " failed: " << deleted.ToString();
+    }
+    source_db_ = nullptr;
   }
-  source_db_ = nullptr;
   Finish(Status::Ok());
 }
 
@@ -1285,16 +1226,16 @@ TargetSession::TargetSession(MigrationContext* ctx, uint64_t self_server,
       options_(options),
       wire_config_(request.config),
       store_(ctx->DurableStoreOn(self_server)),
-      range_scoped_(request.range_scoped),
-      range_lo_(request.range_lo),
-      range_hi_(request.range_hi) {
-  if (range_scoped_) {
-    // Range sessions never stage durably (resume is per-tenant, and a
-    // partially merged instance must not become a crash checkpoint).
+      range_{request.range_lo, request.range_hi} {
+  if (!range_.IsFull()) {
+    // Only whole-tenant sessions stage durably (resume is per-tenant,
+    // and a partially merged instance must not become a crash
+    // checkpoint).
     store_ = nullptr;
     // A tenant already serving other ranges here absorbs this one into
     // its live instance; only a first-range arrival stages fresh (and
-    // frozen, like a whole-tenant migration).
+    // frozen, until the commit). A whole tenant never merges into an
+    // existing instance: that one is residue, and staging over it fails.
     engine::TenantDb* existing = ctx_->TenantOn(self_server_, tenant_id_);
     if (existing != nullptr) {
       staging_ = existing;
@@ -1367,10 +1308,10 @@ void TargetSession::ReplyToRequest() {
 
 void TargetSession::DiscardStaging() {
   if (staging_ == nullptr) return;
-  if (range_scoped_ && !created_staging_) {
+  if (!created_staging_) {
     // The instance serves other ranges this server owns — keep it and
     // shed only the rows this aborted range staged into it.
-    staging_->EraseRangeRows(range_lo_, range_hi_);
+    staging_->EraseRangeRows(range_.lo, range_.hi);
   } else {
     // Best-effort cleanup of a never-authoritative staging instance;
     // it may already be gone after a crash-restart, so NotFound is fine.
@@ -1443,17 +1384,8 @@ void TargetSession::ArmDecisionProbe() {
                                  alive = std::weak_ptr<bool>(alive_)] {
     if (alive.expired()) return;
     if (finished_ || !awaiting_decision_) return;
-    // The decision record a range session polls is the range entry —
-    // the source flips it (not the tenant directory) before commit.
-    Result<uint64_t> authority = Status::NotFound("no range directory");
-    if (range_scoped_) {
-      range::RangeDirectory* ranges = ctx_->range_directory();
-      if (ranges != nullptr) {
-        authority = ranges->OwnerOf(tenant_id_, range_lo_);
-      }
-    } else {
-      authority = ctx_->directory()->Lookup(tenant_id_);
-    }
+    const Result<uint64_t> authority =
+        ctx_->range_directory()->OwnerOf(tenant_id_, range_.lo);
     if (authority.ok() && *authority == self_server_) {
       // The source committed (directory switches strictly before the
       // commit message is sent); the message was merely lost.
@@ -1678,14 +1610,12 @@ void TargetSession::HandleMessage(const net::Message& message) {
         store_->SaveCheckpoint(engine::TakeCheckpoint(*staging_));
       }
       // Stay frozen: authority only transfers once the source confirms
-      // the digests agree (kHandoverCommit). A range session digests
-      // just its unit — the instance may hold other live ranges.
+      // the digests agree (kHandoverCommit). The session digests just
+      // its unit — the instance may hold other live ranges.
       net::Message ack;
       ack.type = net::MessageType::kHandoverAck;
       ack.tenant_id = tenant_id_;
-      ack.digest = range_scoped_
-                       ? staging_->StateDigestRange(range_lo_, range_hi_)
-                       : staging_->StateDigest();
+      ack.digest = staging_->StateDigest(range_.lo, range_.hi);
       ctx_->SendMessage(self_server_, source_server_, ack);
       awaiting_decision_ = true;
       ArmDecisionProbe();

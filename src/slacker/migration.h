@@ -76,10 +76,10 @@ class MigrationContext {
   /// negotiation disabled" (net/negotiation.h) — the default so mock
   /// contexts and pre-versioning setups keep the legacy wire format.
   virtual uint32_t SoftwareVersionOn(uint64_t /*server_id*/) { return 0; }
-  /// Per-range ownership map (DESIGN.md §16), or nullptr when the
-  /// context routes whole tenants only. Range-scoped jobs require it:
-  /// the handover flips a range entry here, not the tenant directory.
-  virtual range::RangeDirectory* range_directory() { return nullptr; }
+  /// Per-range ownership map (DESIGN.md §16). Every job moves one of
+  /// its entries: the handover flips that entry here, and the tenant
+  /// directory follows whenever a single owner remains.
+  virtual range::RangeDirectory* range_directory() = 0;
 };
 
 /// One try of a supervised migration (MigrationSupervisor fills these).
@@ -103,7 +103,8 @@ struct [[nodiscard]] MigrationReport {
   uint64_t source_server = 0;
   uint64_t target_server = 0;
   MigrationMode mode = MigrationMode::kLive;
-  /// Range-granular job: only `range` moved (DESIGN.md §16).
+  /// The directory entry the job moved (DESIGN.md §16); `range_scoped`
+  /// is true when it is a fluid-migration unit, not the whole tenant.
   bool range_scoped = false;
   range::KeyRange range;
   std::string throttle_name;
@@ -233,6 +234,10 @@ class MigrationJob {
   void OnSourceDrained();
   void OnHandoverAck(const net::Message& message);
   void Finish(Status status);
+  /// Freezes the moving range on the source (the whole tenant for
+  /// stop-and-copy, which requires the full range) and starts the
+  /// downtime clock; `drained` runs once in-flight work on it is done.
+  void FreezeSource(std::function<void()> drained);
   void ArmWatchdog(SimTime delay);
   /// Abort without the Cancel() phase guard (watchdog escalation on a
   /// stuck handover, overload bail-out). Safe because no commit
@@ -362,9 +367,9 @@ class TargetSession {
   void Abort(const Status& status);
   void MarkFinished();
   /// Abort-path cleanup: deletes a staging instance this session
-  /// created, but a *reused* live instance (range session of a tenant
-  /// already serving other ranges here) only loses the staged in-range
-  /// rows — it stays up for the ranges it owns.
+  /// created, but a *reused* live instance (a tenant already serving
+  /// other ranges here) only loses the staged in-range rows — it stays
+  /// up for the ranges it owns.
   void DiscardStaging();
   /// NACK the first missing/corrupt seq, rate-limited so a burst of
   /// out-of-order chunks doesn't trigger a NACK storm.
@@ -375,10 +380,10 @@ class TargetSession {
   /// durably staged chunks for a future resume.
   void ArmIdleTimer();
   /// After sending the handover ack, the commit (or abort) message may
-  /// be lost. The frontend directory is the decision record — the
-  /// source updates it *before* sending commit — so the session polls
-  /// it: directory == self means committed; persistently == source
-  /// means the migration died and the staging copy self-destructs.
+  /// be lost. The range directory entry is the decision record — the
+  /// source flips it *before* sending commit — so the session polls
+  /// it: owner == self means committed; persistently == source means
+  /// the migration died and the staging copy self-destructs.
   void ArmDecisionProbe();
 
   MigrationContext* ctx_;
@@ -390,13 +395,11 @@ class TargetSession {
   net::TenantWireConfig wire_config_;
   DurableStore* store_ = nullptr;
   engine::TenantDb* staging_ = nullptr;
-  /// Range-scoped session (DESIGN.md §16): only [range_lo_, range_hi_)
-  /// is arriving. When the tenant already serves other ranges here the
-  /// live instance is *reused* (created_staging_ == false) and must
-  /// never be deleted on abort — only the staged in-range rows are.
-  bool range_scoped_ = false;
-  uint64_t range_lo_ = 0;
-  uint64_t range_hi_ = 0;
+  /// The arriving directory entry (DESIGN.md §16). When the tenant
+  /// already serves other ranges here the live instance is *reused*
+  /// (created_staging_ == false) and must never be deleted on abort —
+  /// only the staged in-range rows are.
+  range::KeyRange range_;
   bool created_staging_ = true;
   uint64_t rows_received_ = 0;
   bool finished_ = false;

@@ -42,14 +42,12 @@ Status MigrationOptions::Validate() const {
   if (session_idle_timeout < 0.0) {
     return Status::InvalidArgument("session_idle_timeout must be >= 0");
   }
-  if (range_scoped) {
-    if (mode != MigrationMode::kLive) {
-      return Status::InvalidArgument(
-          "range_scoped requires MigrationMode::kLive");
-    }
-    if (range.lo >= range.hi) {
-      return Status::InvalidArgument("range must be non-empty");
-    }
+  if (range.lo >= range.hi) {
+    return Status::InvalidArgument("range must be non-empty");
+  }
+  if (mode != MigrationMode::kLive && !range.IsFull()) {
+    return Status::InvalidArgument(
+        "a partial range requires MigrationMode::kLive");
   }
   return Status::Ok();
 }

@@ -112,12 +112,12 @@ struct MigrationOptions {
   /// 0 disables.
   SimTime session_idle_timeout = 45.0;
 
-  /// Range-granular migration (DESIGN.md §16): move only the keys in
-  /// `range` instead of the whole tenant. The job snapshots, ships
-  /// deltas, and freezes just that unit; ownership flips in the
-  /// cluster's RangeDirectory at handover. Range jobs never resume
-  /// (staged-chunk bookkeeping is per-tenant) and require kLive mode.
-  bool range_scoped = false;
+  /// The unit this job moves: exactly one RangeDirectory entry
+  /// (DESIGN.md §16). The default, the full key space, is a whole-tenant
+  /// migration; a narrower entry is one unit of a fluid migration,
+  /// frozen and handed over on its own while the tenant keeps serving
+  /// every other range. Only the full range stages durably and resumes
+  /// (staged-chunk bookkeeping is per-tenant) or runs stop-and-copy.
   range::KeyRange range;
 
   Status Validate() const;

@@ -161,6 +161,36 @@ TEST(TenantDbTest, FreezeWaitsForInFlight) {
   EXPECT_TRUE(drained);
 }
 
+TEST(TenantDbTest, RangeFreezeQueuesOnlyInRangeOpsAndWidens) {
+  Rig rig;
+  TenantDb db(&rig.sim, &rig.disk, &rig.cpu, SmallConfig());
+  db.Load();
+  int done = 0;
+  auto count = [&](Status s, const WrittenRow&) { done += s.ok() ? 1 : 0; };
+  bool drained = false;
+  db.Freeze([&] { drained = true; }, 100, 200);
+  db.ExecuteOp(Operation{OpType::kUpdate, 150}, count);  // Held.
+  db.ExecuteOp(Operation{OpType::kUpdate, 250}, count);  // Serves.
+  rig.sim.RunUntil(1.0);
+  EXPECT_TRUE(drained);
+  EXPECT_EQ(done, 1);
+  EXPECT_EQ(db.queued_ops(), 1u);
+  // A whole-tenant freeze on top widens the freeze to every key; one
+  // Unfreeze lifts it and admits the queue in order.
+  db.Freeze(nullptr);
+  db.ExecuteOp(Operation{OpType::kUpdate, 250}, count);  // Held now.
+  rig.sim.RunUntil(2.0);
+  EXPECT_EQ(done, 1);
+  EXPECT_EQ(db.queued_ops(), 2u);
+  db.Unfreeze();
+  rig.sim.RunUntil(3.0);
+  EXPECT_FALSE(db.frozen());
+  EXPECT_EQ(done, 3);
+  // The range digest covers only its rows; the default is the table.
+  EXPECT_NE(db.StateDigest(100, 200), db.StateDigest());
+  EXPECT_EQ(db.StateDigest(0, UINT64_MAX), db.StateDigest());
+}
+
 TEST(TenantDbTest, FailQueuedRejectsWithUnavailable) {
   Rig rig;
   TenantDb db(&rig.sim, &rig.disk, &rig.cpu, SmallConfig());

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "src/common/random.h"
@@ -319,6 +320,80 @@ TEST(NegotiationTest, MixedVersionPairsAlwaysAgreeOnASupportedCodec) {
       }
     }
   }
+}
+
+// ------------------------------------------------- Range extension
+
+Message MigrateRequest() {
+  Message m = FullMessage();
+  m.type = MessageType::kMigrateRequest;
+  m.resume = true;
+  return m;
+}
+
+// The frame payload (magic, length and CRC stripped).
+std::vector<uint8_t> PayloadOf(const Message& m) {
+  std::vector<uint8_t> payload;
+  EXPECT_TRUE(DecodeFrame(EncodeMessage(m), &payload).ok());
+  return payload;
+}
+
+std::vector<uint8_t> RangeExtension(uint64_t lo, uint64_t hi) {
+  ByteWriter writer;
+  writer.PutU8(kRangeScopeMagic);
+  writer.PutVarint64(lo);
+  writer.PutVarint64(hi);
+  return writer.Release();
+}
+
+TEST(RangeExtensionTest, FullRangeEncodesToLegacyBytes) {
+  // A whole-tenant request carries the default full range and must
+  // encode to exactly the legacy bytes: a partial request is the same
+  // payload plus the range trailer and nothing else.
+  const Message whole = MigrateRequest();
+  EXPECT_TRUE(whole.full_range());
+  Message unit = whole;
+  unit.range_lo = 4096;
+  unit.range_hi = 8192;
+  std::vector<uint8_t> legacy_plus_trailer = PayloadOf(whole);
+  const std::vector<uint8_t> trailer = RangeExtension(4096, 8192);
+  legacy_plus_trailer.insert(legacy_plus_trailer.end(), trailer.begin(),
+                             trailer.end());
+  EXPECT_EQ(PayloadOf(unit), legacy_plus_trailer);
+  Message out;
+  ASSERT_TRUE(DecodeMessage(EncodeMessage(whole), &out).ok());
+  EXPECT_TRUE(out.full_range());
+}
+
+TEST(RangeExtensionTest, PartialRangeRoundTrips) {
+  for (const auto& [lo, hi] : std::vector<std::pair<uint64_t, uint64_t>>{
+           {4096, 8192}, {0, 4096}, {4096, UINT64_MAX}}) {
+    Message m = MigrateRequest();
+    m.range_lo = lo;
+    m.range_hi = hi;
+    Message out;
+    ASSERT_TRUE(DecodeMessage(EncodeMessage(m), &out).ok());
+    EXPECT_EQ(out.range_lo, lo);
+    EXPECT_EQ(out.range_hi, hi);
+    EXPECT_EQ(out, m);
+  }
+}
+
+TEST(RangeExtensionTest, DuplicateOrFullRangeExtensionIsCorruption) {
+  Message unit = MigrateRequest();
+  unit.range_lo = 4096;
+  std::vector<uint8_t> doubled = PayloadOf(unit);
+  const std::vector<uint8_t> again = RangeExtension(4096, UINT64_MAX);
+  doubled.insert(doubled.end(), again.begin(), again.end());
+  Message out;
+  EXPECT_EQ(DecodeMessage(EncodeFrame(doubled), &out).code(),
+            StatusCode::kCorruption);
+  // The full range is never encoded; a trailer spelling it is corrupt.
+  std::vector<uint8_t> full = PayloadOf(MigrateRequest());
+  const std::vector<uint8_t> full_trailer = RangeExtension(0, UINT64_MAX);
+  full.insert(full.end(), full_trailer.begin(), full_trailer.end());
+  EXPECT_EQ(DecodeMessage(EncodeFrame(full), &out).code(),
+            StatusCode::kCorruption);
 }
 
 // ---------------------------------------------------------------- Channel

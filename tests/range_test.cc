@@ -144,6 +144,12 @@ MigrationOptions FastLive(double mbps = 64.0) {
   return options;
 }
 
+/// `options` moving just the directory entry `unit`.
+MigrationOptions OfRange(MigrationOptions options, const KeyRange& unit) {
+  options.range = unit;
+  return options;
+}
+
 struct RangeRig {
   sim::Simulator sim;
   Cluster cluster;
@@ -183,8 +189,9 @@ TEST(RangeMigrationTest, MovesOnlyTheRangeAndShardsTheTenant) {
   const uint64_t mid = 32 * 1024;
   ASSERT_TRUE(rig.cluster.SplitTenantRange(1, mid).ok());
   ASSERT_TRUE(rig.cluster
-                  .StartRangeMigration(1, KeyRange{mid, kNoUpperBound}, 1,
-                                       FastLive(), rig.Done())
+                  .StartMigration(
+                      1, 1, OfRange(FastLive(), KeyRange{mid, kNoUpperBound}),
+                      rig.Done())
                   .ok());
   rig.sim.RunUntil(120.0);
   ASSERT_TRUE(rig.done);
@@ -203,7 +210,6 @@ TEST(RangeMigrationTest, MovesOnlyTheRangeAndShardsTheTenant) {
   ASSERT_NE(high, nullptr);
   EXPECT_FALSE(low->frozen());
   EXPECT_FALSE(high->frozen());
-  EXPECT_FALSE(low->range_frozen());
   // Rows moved, not copied: each instance holds exactly its half.
   EXPECT_EQ(low->table().size(), mid);
   EXPECT_EQ(high->table().size(), 64 * 1024 - mid);
@@ -224,7 +230,7 @@ TEST(RangeMigrationTest, MovingAllRangesConvergesAndRetiresSource) {
        {KeyRange{mid, kNoUpperBound}, KeyRange{0, mid}}) {
     rig.done = false;
     ASSERT_TRUE(
-        rig.cluster.StartRangeMigration(1, r, 1, FastLive(), rig.Done())
+        rig.cluster.StartMigration(1, 1, OfRange(FastLive(), r), rig.Done())
             .ok());
     rig.sim.RunUntil(rig.sim.Now() + 120.0);
     ASSERT_TRUE(rig.done);
@@ -246,8 +252,9 @@ TEST(RangeMigrationTest, GranularityOneFullRangeJobMatchesWholeTenant) {
   RangeRig rig;
   ASSERT_TRUE(rig.cluster.AddTenant(0, SmallTenant()).ok());
   ASSERT_TRUE(rig.cluster
-                  .StartRangeMigration(1, KeyRange{0, kNoUpperBound}, 1,
-                                       FastLive(), rig.Done())
+                  .StartMigration(
+                      1, 1, OfRange(FastLive(), KeyRange{0, kNoUpperBound}),
+                      rig.Done())
                   .ok());
   rig.sim.RunUntil(120.0);
   ASSERT_TRUE(rig.done);
@@ -264,16 +271,15 @@ TEST(RangeMigrationTest, RejectsUnregisteredRangeAndBadModes) {
   ASSERT_TRUE(rig.cluster.AddTenant(0, SmallTenant()).ok());
   // Not a registered unit.
   EXPECT_EQ(rig.cluster
-                .StartRangeMigration(1, KeyRange{0, 100}, 1, FastLive(),
-                                     rig.Done())
+                .StartMigration(1, 1, OfRange(FastLive(), KeyRange{0, 100}),
+                                rig.Done())
                 .code(),
             StatusCode::kInvalidArgument);
   // Empty range fails validation.
   MigrationOptions bad = FastLive();
-  bad.range_scoped = true;
   bad.range = KeyRange{100, 100};
   EXPECT_FALSE(bad.Validate().ok());
-  // Stop-and-copy cannot be range-scoped.
+  // Stop-and-copy cannot move a partial range.
   bad.range = KeyRange{0, 100};
   bad.mode = MigrationMode::kStopAndCopy;
   EXPECT_FALSE(bad.Validate().ok());
@@ -296,10 +302,12 @@ TEST(RangeMigrationTest, UnderLoadLosesNoAckedWrite) {
 
   const uint64_t mid = 32 * 1024;
   ASSERT_TRUE(rig.cluster.SplitTenantRange(1, mid).ok());
-  ASSERT_TRUE(rig.cluster
-                  .StartRangeMigration(1, KeyRange{mid, kNoUpperBound}, 1,
-                                       FastLive(32.0), rig.Done())
-                  .ok());
+  ASSERT_TRUE(
+      rig.cluster
+          .StartMigration(
+              1, 1, OfRange(FastLive(32.0), KeyRange{mid, kNoUpperBound}),
+              rig.Done())
+          .ok());
   rig.sim.RunUntil(150.0);
   ASSERT_TRUE(rig.done);
   ASSERT_TRUE(rig.report.status.ok()) << rig.report.status.ToString();
@@ -319,8 +327,95 @@ TEST(RangeMigrationTest, UnderLoadLosesNoAckedWrite) {
     const storage::Record* row = owner_db->table().Get(key);
     ASSERT_NE(row, nullptr) << "lost acked write to key " << key;
     EXPECT_GE(row->lsn, acked.lsn);
-    if (row->lsn == acked.lsn) EXPECT_EQ(row->digest, acked.digest);
+    if (row->lsn == acked.lsn) {
+      EXPECT_EQ(row->digest, acked.digest);
+    }
   }
+}
+
+// --- Whole-tenant moves are the full-range job ---------------------
+
+FluidMigrationOptions FluidFast(size_t ranges) {
+  FluidMigrationOptions options;
+  options.target_ranges = ranges;
+  options.migration = FastLive();
+  return options;
+}
+
+// A whole move flips the tenant's range entry along with the tenant
+// directory, so a later fluid move plans from where the tenant really
+// lives — back to the original server or on to a third one.
+TEST(WholeMoveRoutingTest, FluidMoveAfterWholeMoveMovesTheTenant) {
+  for (const uint64_t fluid_target : {uint64_t{0}, uint64_t{2}}) {
+    SCOPED_TRACE(fluid_target);
+    RangeRig rig;
+    ASSERT_TRUE(rig.cluster.AddTenant(0, SmallTenant()).ok());
+    ASSERT_TRUE(rig.cluster.StartMigration(1, 1, FastLive(), rig.Done()).ok());
+    rig.sim.RunUntil(120.0);
+    ASSERT_TRUE(rig.done);
+    ASSERT_TRUE(rig.report.status.ok()) << rig.report.status.ToString();
+    EXPECT_FALSE(rig.report.range_scoped);
+    EXPECT_EQ(*rig.cluster.range_directory()->OwnerOf(1, 0), 1u);
+
+    FluidMigrationReport report;
+    bool done = false;
+    FluidMigrator migrator(&rig.cluster, 1, fluid_target, FluidFast(4),
+                           [&](const FluidMigrationReport& r) {
+                             report = r;
+                             done = true;
+                           });
+    ASSERT_TRUE(migrator.Start().ok());
+    rig.sim.RunUntil(rig.sim.Now() + 300.0);
+    ASSERT_TRUE(done);
+    ASSERT_TRUE(report.status.ok()) << report.status.ToString();
+    EXPECT_GE(report.ranges_planned, 1u);
+    EXPECT_EQ(report.ranges_moved, report.ranges_planned);
+    EXPECT_EQ(rig.cluster.TenantOn(1, 1), nullptr);
+    ASSERT_NE(rig.cluster.TenantOn(fluid_target, 1), nullptr);
+    EXPECT_EQ(rig.cluster.TenantOn(fluid_target, 1)->table().size(),
+              64u * 1024);
+    EXPECT_EQ(*rig.cluster.directory()->Lookup(1), fluid_target);
+    EXPECT_EQ(rig.cluster.range_directory()->ServersOf(1),
+              (std::vector<uint64_t>{fluid_target}));
+  }
+}
+
+// The job unit is one directory entry: a whole move of a split or
+// sharded tenant is refused, and every key stays routable.
+TEST(WholeMoveRoutingTest, WholeMoveOfShardedTenantIsRefused) {
+  RangeRig rig;
+  ASSERT_TRUE(rig.cluster.AddTenant(0, SmallTenant()).ok());
+  const uint64_t mid = 32 * 1024;
+  ASSERT_TRUE(rig.cluster.SplitTenantRange(1, mid).ok());
+  ASSERT_TRUE(rig.cluster
+                  .StartMigration(
+                      1, 1, OfRange(FastLive(), KeyRange{mid, kNoUpperBound}),
+                      rig.Done())
+                  .ok());
+  rig.sim.RunUntil(120.0);
+  ASSERT_TRUE(rig.done);
+  ASSERT_TRUE(rig.report.status.ok()) << rig.report.status.ToString();
+
+  rig.done = false;
+  EXPECT_EQ(rig.cluster.StartMigration(1, 2, FastLive(), rig.Done()).code(),
+            StatusCode::kFailedPrecondition);
+  rig.sim.RunUntil(rig.sim.Now() + 120.0);
+  EXPECT_FALSE(rig.done);
+  EXPECT_EQ(rig.cluster.TenantOn(2, 1), nullptr);
+  EXPECT_EQ(rig.cluster.range_directory()->ServersOf(1),
+            (std::vector<uint64_t>{0, 1}));
+  for (const uint64_t key : {uint64_t{0}, mid - 1, mid, mid * 2 - 1}) {
+    engine::TenantDb* db = rig.cluster.ResolveForKey(1, key);
+    ASSERT_NE(db, nullptr) << "key " << key << " unroutable";
+    EXPECT_NE(db->table().Get(key), nullptr) << "key " << key;
+  }
+
+  // Split but not sharded: still two entries, still refused.
+  ASSERT_TRUE(rig.cluster.AddTenant(0, SmallTenant(2)).ok());
+  ASSERT_TRUE(rig.cluster.SplitTenantRange(2, mid).ok());
+  EXPECT_EQ(rig.cluster.StartMigration(2, 2, FastLive(), rig.Done()).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(rig.cluster.TenantOn(2, 2), nullptr);
 }
 
 // --- FluidMigrator --------------------------------------------------
@@ -426,8 +521,9 @@ TEST(RangeCancelTest, CancelAtEveryPhase) {
     options.prepare.base_seconds = 0.5;
     options.delta_handover_bytes = 0;
     ASSERT_TRUE(rig.cluster
-                    .StartRangeMigration(1, KeyRange{mid, kNoUpperBound}, 1,
-                                         options, rig.Done())
+                    .StartMigration(
+                        1, 1, OfRange(options, KeyRange{mid, kNoUpperBound}),
+                        rig.Done())
                     .ok());
     bool cancelled = false;
     bool too_late = false;
@@ -463,7 +559,6 @@ TEST(RangeCancelTest, CancelAtEveryPhase) {
       // source serves without any lingering range freeze.
       EXPECT_EQ(*dir->OwnerOf(1, mid), 0u);
       ASSERT_NE(rig.cluster.TenantOn(0, 1), nullptr);
-      EXPECT_FALSE(rig.cluster.TenantOn(0, 1)->range_frozen());
       EXPECT_FALSE(rig.cluster.TenantOn(0, 1)->frozen());
       EXPECT_EQ(rig.cluster.TenantOn(1, 1), nullptr);
     }
@@ -513,8 +608,8 @@ TEST(RangeChurnPropertyTest, SplitMigrateMergeNeverLosesOrDoublesRows) {
         const uint64_t target = rng.NextBelow(kServers);
         if (target == owned->server) break;
         // Busy tenants reject a second concurrent job; that is fine.
-        const Status started = rig.cluster.StartRangeMigration(
-            1, owned->range, target, FastLive(128.0),
+        const Status started = rig.cluster.StartMigration(
+            1, target, OfRange(FastLive(128.0), owned->range),
             [](const MigrationReport&) {});
         if (started.ok()) ++migrations_launched;
         break;
@@ -557,7 +652,9 @@ TEST(RangeChurnPropertyTest, SplitMigrateMergeNeverLosesOrDoublesRows) {
     const storage::Record* row = db->table().Get(key);
     ASSERT_NE(row, nullptr) << "lost acked write to key " << key;
     EXPECT_GE(row->lsn, acked.lsn);
-    if (row->lsn == acked.lsn) EXPECT_EQ(row->digest, acked.digest);
+    if (row->lsn == acked.lsn) {
+      EXPECT_EQ(row->digest, acked.digest);
+    }
   }
   // Conservation: the default mix has no inserts or deletes, so after
   // quiescing every preloaded row exists exactly once fleet-wide.

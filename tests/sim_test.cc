@@ -10,10 +10,10 @@
 #include <vector>
 
 #include "src/common/random.h"
-#include "src/sim/binary_heap_queue.h"
 #include "src/sim/callback.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/simulator.h"
+#include "testing/binary_heap_queue.h"
 
 namespace slacker::sim {
 namespace {

@@ -8,8 +8,8 @@
 namespace slacker::lint {
 namespace {
 
-const char* const kProjectRoots[] = {"src", "bench", "tests", "tools",
-                                     "examples"};
+const char* const kProjectRoots[] = {"src",   "testing",  "bench",
+                                     "tests", "tools",    "examples"};
 
 bool IsProjectRoot(const std::string& segment) {
   for (const char* root : kProjectRoots) {

@@ -160,6 +160,31 @@ TEST(LayeringTest, ReportAndDotAreByteDeterministic) {
   EXPECT_NE(dot[0].find("VIOLATION"), std::string::npos);
 }
 
+TEST(LayeringTest, LibraryCannotIncludeTestingSupport) {
+  // testing/ holds test/bench-only code: tests and benches may include
+  // it, the src/ library may not (checked against the real manifest).
+  std::ifstream in(std::string(SLACKER_LINT_LAYERS), std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing " << SLACKER_LINT_LAYERS;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  LayerManifest manifest;
+  std::string error;
+  ASSERT_TRUE(ParseLayerManifest(buf.str(), &manifest, &error)) << error;
+  EXPECT_EQ(ModuleOf("testing/binary_heap_queue.h"), "testing");
+
+  LayerAnalyzer analyzer;
+  analyzer.AddFile("testing/queue.h", "#include \"src/common/units.h\"\n");
+  analyzer.AddFile("src/common/units.h", "\n");
+  analyzer.AddFile("tests/queue_test.cc", "#include \"testing/queue.h\"\n");
+  analyzer.AddFile("bench/queue_bench.cc", "#include \"testing/queue.h\"\n");
+  analyzer.AddFile("src/sim/sim.cc", "#include \"testing/queue.h\"\n");
+  const std::vector<Finding> findings = analyzer.Run(manifest);
+  ASSERT_EQ(findings.size(), 1u) << FindingsToText(findings);
+  EXPECT_EQ(findings[0].rule, "slacker-layering");
+  EXPECT_EQ(findings[0].path, "src/sim/sim.cc");
+  EXPECT_NE(findings[0].message.find("upward"), std::string::npos);
+}
+
 TEST(LayeringTest, CheckedInManifestParses) {
   // The real contract file must always be loadable — the tree ctest
   // and CI lint job both feed it to --layers.
