@@ -1,11 +1,15 @@
 // Microbenchmarks (google-benchmark) for the hot components under the
 // experiments: B+-tree ops, buffer pool touches, PID updates, wire
-// codec, binlog append/scan, event queue churn, and token bucket
-// grants. These bound the simulator's own overhead and document the
-// costs of the core data structures.
+// codec, CRC32C and LZ over a migration chunk, binlog append/scan,
+// event queue churn, and token bucket grants. These bound the
+// simulator's own overhead and document the costs of the core data
+// structures.
 
 #include <benchmark/benchmark.h>
 
+#include "src/codec/chunk_codec.h"
+#include "src/codec/lz.h"
+#include "src/common/checksum.h"
 #include "src/common/random.h"
 #include "src/control/pid.h"
 #include "src/net/message.h"
@@ -96,6 +100,41 @@ void BM_MessageRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_MessageRoundTrip)->Arg(256);
 
+// One 256 KiB snapshot chunk of 1 KiB rows, materialized at run time
+// (random row digests) so the compiler cannot fold the kernels' input.
+// The argument is the payload redundancy in percent.
+std::vector<uint8_t> MigrationChunk(int64_t redundancy_percent) {
+  Rng rng(3);
+  std::vector<storage::Record> rows;
+  for (uint64_t key = 0; key < 256; ++key) {
+    rows.push_back(storage::Record{key, rng.Next(), rng.Next()});
+  }
+  return codec::MaterializeChunkPayload(
+      rows, 1024, static_cast<double>(redundancy_percent) / 100.0);
+}
+
+void BM_Crc32c(benchmark::State& state) {
+  const std::vector<uint8_t> chunk = MigrationChunk(50);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32c(chunk));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(chunk.size()));
+}
+BENCHMARK(BM_Crc32c);
+
+void BM_LzCompress(benchmark::State& state) {
+  const std::vector<uint8_t> chunk = MigrationChunk(state.range(0));
+  for (auto _ : state) {
+    const std::vector<uint8_t> compressed = codec::LzCompress(chunk);
+    benchmark::DoNotOptimize(compressed.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(chunk.size()));
+}
+BENCHMARK(BM_LzCompress)->Arg(0)->Arg(50)->Arg(100);
+
 void BM_BinlogAppendScan(benchmark::State& state) {
   for (auto _ : state) {
     wal::Binlog log;
@@ -172,8 +211,9 @@ void BM_MetricCounterIncrement(benchmark::State& state) {
       registry.FindOrCreateCounter("migration_delta_bytes", "tenant=1");
   for (auto _ : state) {
     counter->Add(4096);
+    benchmark::DoNotOptimize(counter->value());
+    benchmark::ClobberMemory();
   }
-  benchmark::DoNotOptimize(counter->value());
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MetricCounterIncrement);

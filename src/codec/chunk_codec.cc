@@ -22,16 +22,21 @@ EncodedChunk RawChunk(const std::vector<storage::Record>& rows,
 
 }  // namespace
 
+void MaterializeChunkPayload(const std::vector<storage::Record>& rows,
+                             uint64_t record_bytes, double redundancy,
+                             std::vector<uint8_t>* payload) {
+  payload->resize(rows.size() * record_bytes);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    FillCompressiblePayload(rows[i], redundancy,
+                            payload->data() + i * record_bytes, record_bytes);
+  }
+}
+
 std::vector<uint8_t> MaterializeChunkPayload(
     const std::vector<storage::Record>& rows, uint64_t record_bytes,
     double redundancy) {
   std::vector<uint8_t> payload;
-  payload.reserve(rows.size() * record_bytes);
-  for (const storage::Record& row : rows) {
-    const std::vector<uint8_t> bytes =
-        MaterializeCompressiblePayload(row, record_bytes, redundancy);
-    payload.insert(payload.end(), bytes.begin(), bytes.end());
-  }
+  MaterializeChunkPayload(rows, record_bytes, redundancy, &payload);
   return payload;
 }
 
@@ -43,9 +48,14 @@ EncodedChunk EncodeSnapshotChunk(
     case Codec::kRaw:
       return RawChunk(rows, logical_bytes);
     case Codec::kLz: {
-      const std::vector<uint8_t> payload = MaterializeChunkPayload(
-          rows, record_bytes, config.payload_redundancy);
-      const std::vector<uint8_t> compressed = LzCompress(payload);
+      // Buffers reused from chunk to chunk on this thread: allocated
+      // afresh, their pages would go back to the kernel and be faulted
+      // in again for every chunk of a migration.
+      thread_local std::vector<uint8_t> payload;
+      thread_local std::vector<uint8_t> compressed;
+      MaterializeChunkPayload(rows, record_bytes, config.payload_redundancy,
+                              &payload);
+      LzCompress(payload, &compressed);
       if (compressed.size() >= payload.size() ||
           compressed.size() >= logical_bytes) {
         return RawChunk(rows, logical_bytes);
@@ -89,9 +99,16 @@ bool VerifyPayloadCrc(const FrameHeader& frame,
                       const std::vector<storage::Record>& rows,
                       uint64_t record_bytes) {
   if (frame.codec != Codec::kLz) return true;
-  const std::vector<uint8_t> payload =
-      MaterializeChunkPayload(rows, record_bytes, frame.payload_redundancy);
-  return Crc32c(payload) == frame.payload_crc;
+  // Row by row through one row buffer: CRC32C chains, so this equals
+  // the CRC of MaterializeChunkPayload without building the chunk.
+  std::vector<uint8_t> row_bytes(record_bytes);
+  uint32_t crc = 0;
+  for (const storage::Record& row : rows) {
+    FillCompressiblePayload(row, frame.payload_redundancy, row_bytes.data(),
+                            record_bytes);
+    crc = Crc32c(row_bytes, crc);
+  }
+  return crc == frame.payload_crc;
 }
 
 double DecodeCpuSeconds(const FrameHeader& frame, const CodecConfig& config) {

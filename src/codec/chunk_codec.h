@@ -29,6 +29,12 @@ std::vector<uint8_t> MaterializeChunkPayload(
     const std::vector<storage::Record>& rows, uint64_t record_bytes,
     double redundancy);
 
+/// MaterializeChunkPayload into `payload` (resized to fit), reusing its
+/// capacity.
+void MaterializeChunkPayload(const std::vector<storage::Record>& rows,
+                             uint64_t record_bytes, double redundancy,
+                             std::vector<uint8_t>* payload);
+
 /// Encodes one chunk with `requested` codec. Falls back to kRaw when
 /// the encoding does not pay (LZ output >= input; delta >= full chunk)
 /// or when kDelta was requested without a base. For kLz the real block

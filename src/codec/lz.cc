@@ -1,8 +1,12 @@
 #include "src/codec/lz.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+
+#include "src/common/bytes.h"
+#include "src/common/invariant.h"
 
 namespace slacker::codec {
 namespace {
@@ -12,15 +16,29 @@ constexpr size_t kHashSize = size_t{1} << kHashBits;
 constexpr size_t kMinMatch = 4;
 constexpr size_t kMaxMatch = 131;  // kMinMatch + 127.
 constexpr size_t kMaxLiteralRun = 128;
+/// Empty hash-table slot. Positions are stored as 32 bits, which halves
+/// the table (128 KiB) against 64-bit positions.
+constexpr uint32_t kNoPosition = UINT32_MAX;
 
 /// Fibonacci hash of a 4-byte little-endian prefix; determinism needs
 /// only that this is a pure function of the bytes.
-uint32_t HashPrefix(const uint8_t* p) {
-  const uint32_t word = static_cast<uint32_t>(p[0]) |
-                        (static_cast<uint32_t>(p[1]) << 8) |
-                        (static_cast<uint32_t>(p[2]) << 16) |
-                        (static_cast<uint32_t>(p[3]) << 24);
-  return (word * 2654435761u) >> (32 - kHashBits);
+uint32_t HashPrefix(uint32_t prefix) {
+  return (prefix * 2654435761u) >> (32 - kHashBits);
+}
+
+/// Length of the common prefix of `a` and `b`, starting from `length`
+/// already-equal bytes and stopping at `limit`. Compares 8 bytes per
+/// step; the first differing byte of a word is its lowest set byte of
+/// a ^ b (little-endian), and the last `limit % 8` bytes go one by one.
+size_t ExtendMatch(const uint8_t* a, const uint8_t* b, size_t length,
+                   size_t limit) {
+  while (length + 8 <= limit) {
+    const uint64_t diff = LoadLe64(a + length) ^ LoadLe64(b + length);
+    if (diff != 0) return length + std::countr_zero(diff) / 8;
+    length += 8;
+  }
+  while (length < limit && a[length] == b[length]) ++length;
+  return length;
 }
 
 void PutVarint(std::vector<uint8_t>* out, uint64_t value) {
@@ -36,6 +54,8 @@ bool GetVarint(const std::vector<uint8_t>& in, size_t* pos, uint64_t* value) {
   int shift = 0;
   while (*pos < in.size() && shift < 64) {
     const uint8_t byte = in[(*pos)++];
+    // The 10th byte holds only bit 63; anything above it would be lost.
+    if (shift == 63 && (byte & 0x7e) != 0) return false;
     result |= static_cast<uint64_t>(byte & 0x7F) << shift;
     if ((byte & 0x80) == 0) {
       *value = result;
@@ -59,38 +79,48 @@ void FlushLiterals(const std::vector<uint8_t>& input, size_t from, size_t to,
 
 }  // namespace
 
-std::vector<uint8_t> LzCompress(const std::vector<uint8_t>& input) {
-  std::vector<uint8_t> out;
+void LzCompress(const std::vector<uint8_t>& input, std::vector<uint8_t>* out) {
+  out->clear();
   const size_t n = input.size();
-  if (n == 0) return out;
-  out.reserve(n / 2 + 16);
+  if (n == 0) return;
+  SLACKER_CHECK(n < kNoPosition, "LzCompress input too large");
+  // Room for an all-literal stream, the worst case in lz.h, so the
+  // output is not reallocated while it is written.
+  out->reserve(n + (n + kMaxLiteralRun - 1) / kMaxLiteralRun);
 
-  std::vector<size_t> table(kHashSize, SIZE_MAX);
+  const uint8_t* const src = input.data();
+  // One table per thread, reset on every call: a migration compresses
+  // thousands of chunks, and a fresh table per chunk would be handed
+  // back to the kernel and faulted in again each time.
+  thread_local std::vector<uint32_t> table_storage;
+  table_storage.assign(kHashSize, kNoPosition);
+  uint32_t* const table = table_storage.data();
   size_t literal_start = 0;
   size_t i = 0;
   while (i + kMinMatch <= n) {
-    const uint32_t h = HashPrefix(&input[i]);
-    const size_t candidate = table[h];
-    table[h] = i;
-    if (candidate != SIZE_MAX && candidate < i &&
-        input[candidate] == input[i] && input[candidate + 1] == input[i + 1] &&
-        input[candidate + 2] == input[i + 2] &&
-        input[candidate + 3] == input[i + 3]) {
-      size_t length = kMinMatch;
-      const size_t limit = std::min(kMaxMatch, n - i);
-      while (length < limit && input[candidate + length] == input[i + length]) {
-        ++length;
-      }
-      FlushLiterals(input, literal_start, i, &out);
-      out.push_back(static_cast<uint8_t>(0x80 | (length - kMinMatch)));
-      PutVarint(&out, i - candidate);
+    const uint32_t prefix = LoadLe32(src + i);
+    const uint32_t h = HashPrefix(prefix);
+    const uint32_t candidate = table[h];
+    table[h] = static_cast<uint32_t>(i);
+    // Table entries are earlier positions, so candidate < i.
+    if (candidate != kNoPosition && LoadLe32(src + candidate) == prefix) {
+      const size_t length = ExtendMatch(src + candidate, src + i, kMinMatch,
+                                        std::min(kMaxMatch, n - i));
+      FlushLiterals(input, literal_start, i, out);
+      out->push_back(static_cast<uint8_t>(0x80 | (length - kMinMatch)));
+      PutVarint(out, i - candidate);
       i += length;
       literal_start = i;
     } else {
       ++i;
     }
   }
-  FlushLiterals(input, literal_start, n, &out);
+  FlushLiterals(input, literal_start, n, out);
+}
+
+std::vector<uint8_t> LzCompress(const std::vector<uint8_t>& input) {
+  std::vector<uint8_t> out;
+  LzCompress(input, &out);
   return out;
 }
 
@@ -115,7 +145,7 @@ Status LzDecompress(const std::vector<uint8_t>& compressed,
     } else {
       uint64_t distance = 0;
       if (!GetVarint(compressed, &pos, &distance)) {
-        return Status::Corruption("lz match distance truncated");
+        return Status::Corruption("lz match distance truncated or overlong");
       }
       const size_t length = static_cast<size_t>(op & 0x7F) + kMinMatch;
       if (distance == 0 || distance > out->size()) {

@@ -22,7 +22,13 @@ namespace slacker::codec {
 /// The compressor never expands pathologically: worst case is
 /// ceil(n / 128) op bytes of overhead. Callers compare the result size
 /// against the input and ship raw when compression does not pay.
+/// Inputs must be smaller than 4 GiB (the hash table holds 32-bit
+/// positions); migration chunks are a few hundred KiB.
 std::vector<uint8_t> LzCompress(const std::vector<uint8_t>& input);
+
+/// LzCompress into `out` (cleared first), reusing its capacity; for
+/// callers that compress many chunks in a row.
+void LzCompress(const std::vector<uint8_t>& input, std::vector<uint8_t>* out);
 
 /// Decompresses `compressed` into `out` (cleared first). Fails with
 /// Corruption if the token stream is malformed or does not decode to

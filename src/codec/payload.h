@@ -23,6 +23,11 @@ namespace slacker::codec {
 std::vector<uint8_t> MaterializeCompressiblePayload(
     const storage::Record& record, size_t logical_size, double redundancy);
 
+/// MaterializeCompressiblePayload written into `out[0, logical_size)`
+/// in place, for callers that lay many rows out in one buffer.
+void FillCompressiblePayload(const storage::Record& record, double redundancy,
+                             uint8_t* out, size_t logical_size);
+
 }  // namespace slacker::codec
 
 #endif  // SLACKER_CODEC_PAYLOAD_H_

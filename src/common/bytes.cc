@@ -43,17 +43,15 @@ Status ByteReader::GetU8(uint8_t* out) {
 
 Status ByteReader::GetFixed32(uint32_t* out) {
   if (remaining() < 4) return Status::Corruption("truncated fixed32");
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(data_[pos_++]) << (8 * i);
-  *out = v;
+  *out = LoadLe32(data_ + pos_);
+  pos_ += 4;
   return Status::Ok();
 }
 
 Status ByteReader::GetFixed64(uint64_t* out) {
   if (remaining() < 8) return Status::Corruption("truncated fixed64");
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(data_[pos_++]) << (8 * i);
-  *out = v;
+  *out = LoadLe64(data_ + pos_);
+  pos_ += 8;
   return Status::Ok();
 }
 
@@ -64,6 +62,10 @@ Status ByteReader::GetVarint64(uint64_t* out) {
     if (remaining() < 1) return Status::Corruption("truncated varint");
     if (shift >= 64) return Status::Corruption("varint too long");
     const uint8_t byte = data_[pos_++];
+    // The 10th byte holds only bit 63; anything above it would be lost.
+    if (shift == 63 && (byte & 0x7e) != 0) {
+      return Status::Corruption("varint overflows 64 bits");
+    }
     v |= static_cast<uint64_t>(byte & 0x7f) << shift;
     if ((byte & 0x80) == 0) break;
     shift += 7;

@@ -1,13 +1,37 @@
 #ifndef SLACKER_COMMON_BYTES_H_
 #define SLACKER_COMMON_BYTES_H_
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "src/common/status.h"
 
 namespace slacker {
+
+/// Little-endian loads from possibly unaligned memory: one machine
+/// load on little-endian hosts, plus a byte swap on big-endian ones.
+/// ByteReader and the word-at-a-time CRC32C and LZ kernels read
+/// through these.
+inline uint32_t LoadLe32(const uint8_t* p) {
+  uint32_t v = 0;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap32(v);
+  }
+  return v;
+}
+
+inline uint64_t LoadLe64(const uint8_t* p) {
+  uint64_t v = 0;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap64(v);
+  }
+  return v;
+}
 
 /// Append-only binary encoder: little-endian fixed ints, LEB128
 /// varints, and length-prefixed strings. The wal and net modules build

@@ -7,9 +7,11 @@
 
 namespace slacker {
 
-/// CRC-32C (Castagnoli), software table implementation. Used to verify
-/// that migration produces byte-identical tenant replicas and that wire
-/// messages survive framing.
+/// CRC-32C (Castagnoli), portable slicing-by-8: eight 256-entry tables
+/// fold one little-endian 64-bit word per step, and a byte table covers
+/// the `len % 8` tail. Used to verify that migration produces
+/// byte-identical tenant replicas and that wire messages survive
+/// framing. Chains: Crc32c(b, Crc32c(a)) == Crc32c(a || b).
 uint32_t Crc32c(const uint8_t* data, size_t len, uint32_t seed = 0);
 uint32_t Crc32c(const std::vector<uint8_t>& data, uint32_t seed = 0);
 

@@ -21,6 +21,7 @@
 #include "src/codec/payload.h"
 #include "src/codec/selector.h"
 #include "src/common/bytes.h"
+#include "src/common/checksum.h"
 #include "src/common/random.h"
 #include "src/common/units.h"
 #include "src/engine/tenant_db.h"
@@ -90,6 +91,89 @@ TEST(LzTest, DeterministicOutput) {
   Rng rng(0x17c);
   const auto input = RandomBytes(&rng, 4096);
   EXPECT_EQ(LzCompress(input), LzCompress(input));
+}
+
+// A fixed seeded corpus whose compressed bytes are pinned by digest, so
+// any change to the match search that alters a single output byte (and
+// with it every LZ frame size and CRC in the goldens) fails here first.
+std::vector<std::vector<uint8_t>> LzGoldenCorpus() {
+  std::vector<std::vector<uint8_t>> corpus;
+  Rng rng(0x601d);
+  for (size_t n = 0; n <= 9; ++n) {
+    corpus.push_back(RandomBytes(&rng, n));
+    corpus.push_back(std::vector<uint8_t>(n, 0x41));
+  }
+  for (const size_t n : {1000u, 4097u, 65536u}) {
+    corpus.push_back(RandomBytes(&rng, n));
+  }
+  corpus.push_back(std::vector<uint8_t>(64 * 1024, 0x5a));
+  corpus.push_back(std::vector<uint8_t>(1001, 0x00));
+  // A four-letter alphabet: many matches of every length and alignment.
+  std::vector<uint8_t> text(20000);
+  for (auto& b : text) b = static_cast<uint8_t>('a' + rng.NextBelow(4));
+  corpus.push_back(text);
+  // 256 KiB migration chunks of 1 KiB rows at the three redundancies.
+  std::vector<storage::Record> rows;
+  for (uint64_t key = 0; key < 256; ++key) {
+    rows.push_back(storage::Record{key * 3 + 1, rng.Next(), rng.Next()});
+  }
+  for (const double redundancy : {0.0, 0.5, 1.0}) {
+    corpus.push_back(MaterializeChunkPayload(rows, kKiB, redundancy));
+  }
+  // A repeat longer than one match: the first match stops exactly at
+  // the kMaxMatch cap (131 bytes) with the next byte still equal.
+  const auto block = RandomBytes(&rng, 300);
+  std::vector<uint8_t> capped = block;
+  capped.insert(capped.end(), block.begin(), block.end());
+  corpus.push_back(capped);
+  // A match ended by a mismatch on its last byte before the cap, past
+  // the last whole 8-byte word of the extension.
+  std::vector<uint8_t> below_cap = block;
+  below_cap.insert(below_cap.end(), block.begin(), block.begin() + 130);
+  below_cap.push_back(static_cast<uint8_t>(block[130] ^ 0xff));
+  below_cap.insert(below_cap.end(), block.begin() + 131, block.end());
+  corpus.push_back(below_cap);
+  // Matches that run into the last input byte, at every tail length
+  // around the 8-byte word boundary.
+  for (size_t tail = 4; tail <= 20; ++tail) {
+    std::vector<uint8_t> to_end(block.begin(), block.begin() + 64);
+    to_end.insert(to_end.end(), block.begin(), block.begin() + tail);
+    corpus.push_back(to_end);
+  }
+  return corpus;
+}
+
+TEST(LzTest, OutputBytesArePinned) {
+  uint64_t digest = 0;
+  // One output buffer through the whole corpus: each call must clear
+  // what the previous, possibly longer, output left in it.
+  std::vector<uint8_t> reused;
+  for (const auto& input : LzGoldenCorpus()) {
+    const auto compressed = LzCompress(input);
+    LzCompress(input, &reused);
+    EXPECT_EQ(reused, compressed);
+    digest = HashCombine(digest, compressed.size());
+    digest = Fnv1a64(compressed.data(), compressed.size(), digest);
+    std::vector<uint8_t> out;
+    ASSERT_TRUE(LzDecompress(compressed, input.size(), &out).ok());
+    EXPECT_EQ(out, input);
+  }
+  EXPECT_EQ(digest, 0x0298f52142766103ull);
+}
+
+TEST(LzTest, OverlongDistanceVarintRejected) {
+  // One literal, then a match whose distance varint carries a 10th byte
+  // above 0x01: the value's high bits do not fit in 64 bits, so the
+  // stream is malformed even though the low bits decode to distance 1.
+  std::vector<uint8_t> stream = {0x00, 'a', 0x80, 0x81};
+  stream.insert(stream.end(), 8, 0x80);
+  stream.push_back(0x02);
+  std::vector<uint8_t> out;
+  EXPECT_EQ(LzDecompress(stream, 5, &out).code(), StatusCode::kCorruption);
+  // The same stream with a well-formed distance decodes.
+  const std::vector<uint8_t> ok = {0x00, 'a', 0x80, 0x01};
+  ASSERT_TRUE(LzDecompress(ok, 5, &out).ok());
+  EXPECT_EQ(out, std::vector<uint8_t>(5, 'a'));
 }
 
 // ------------------------------------------------------------- Payload
@@ -300,10 +384,21 @@ TEST(ChunkCodecTest, LzFrameVerifiesPayloadCrcEndToEnd) {
   CodecConfig config;
   config.mode = CodecMode::kLz;
   config.payload_redundancy = 0.75;
+  // A larger chunk first: the encoder reuses its buffers from chunk to
+  // chunk, and nothing of this one may show in the next frame.
+  std::vector<storage::Record> larger;
+  for (uint64_t key = 0; key < 64; ++key) {
+    larger.push_back(storage::Record{key, rng.Next(), rng.Next()});
+  }
+  EncodeSnapshotChunk(larger, larger.size() * kKiB, Codec::kLz, config, kKiB,
+                      nullptr);
   const EncodedChunk enc = EncodeSnapshotChunk(
       rows, rows.size() * kKiB, Codec::kLz, config, kKiB, nullptr);
   ASSERT_EQ(enc.frame.codec, Codec::kLz);
   EXPECT_LT(enc.frame.encoded_bytes, enc.frame.logical_bytes);
+  const auto payload = MaterializeChunkPayload(rows, kKiB, 0.75);
+  EXPECT_EQ(enc.frame.encoded_bytes, LzCompress(payload).size());
+  EXPECT_EQ(enc.frame.payload_crc, Crc32c(payload));
   EXPECT_GT(enc.cpu_seconds, 0.0);
   EXPECT_GT(DecodeCpuSeconds(enc.frame, config), 0.0);
 

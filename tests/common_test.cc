@@ -161,6 +161,20 @@ TEST(BytesTest, OverlongVarintRejected) {
   EXPECT_EQ(r.GetVarint64(&v).code(), StatusCode::kCorruption);
 }
 
+TEST(BytesTest, TenthVarintByteAboveOneRejected) {
+  // Ten bytes carry 9 * 7 + 1 = 64 bits: a 10th byte above 0x01 sets
+  // bits past bit 63, which must fail rather than be dropped.
+  std::vector<uint8_t> data = {0x81};
+  data.insert(data.end(), 8, 0x80);
+  data.push_back(0x02);
+  uint64_t v = 0;
+  EXPECT_EQ(ByteReader(data).GetVarint64(&v).code(), StatusCode::kCorruption);
+  // 0x01 in the 10th byte is bit 63 and still decodes.
+  data.back() = 0x01;
+  ASSERT_TRUE(ByteReader(data).GetVarint64(&v).ok());
+  EXPECT_EQ(v, (uint64_t{1} << 63) | 1u);
+}
+
 TEST(BytesTest, StringLengthBeyondBufferRejected) {
   ByteWriter w;
   w.PutVarint64(1000);  // Claims 1000 bytes, provides none.
@@ -440,6 +454,59 @@ TEST(ChecksumTest, Crc32cKnownVector) {
   const char* data = "123456789";
   EXPECT_EQ(Crc32c(reinterpret_cast<const uint8_t*>(data), 9),  // NOLINT(slacker-wire-decode)
             0xE3069283u);
+}
+
+TEST(ChecksumTest, Crc32cRfc3720Vectors) {
+  // RFC 3720 (iSCSI) appendix B.4 test vectors.
+  std::vector<uint8_t> data(32, 0x00);
+  EXPECT_EQ(Crc32c(data), 0x8A9136AAu);
+  data.assign(32, 0xFF);
+  EXPECT_EQ(Crc32c(data), 0x62A8AB43u);
+  for (size_t i = 0; i < 32; ++i) data[i] = static_cast<uint8_t>(i);
+  EXPECT_EQ(Crc32c(data), 0x46DD794Eu);
+  for (size_t i = 0; i < 32; ++i) data[i] = static_cast<uint8_t>(31 - i);
+  EXPECT_EQ(Crc32c(data), 0x113FDB5Cu);
+}
+
+// Bit-at-a-time CRC-32C straight from the reflected polynomial: the
+// reference the table-driven implementation must agree with.
+uint32_t ReferenceCrc32c(const uint8_t* data, size_t len, uint32_t seed) {
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < len; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1) ? (crc >> 1) ^ 0x82f63b78u : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+TEST(ChecksumTest, Crc32cMatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  Rng rng(0xc3c);
+  std::vector<uint8_t> buffer(64 + 8);
+  for (auto& b : buffer) b = static_cast<uint8_t>(rng.Next());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 64; ++len) {
+      const uint8_t* p = buffer.data() + offset;
+      EXPECT_EQ(Crc32c(p, len), ReferenceCrc32c(p, len, 0))
+          << "offset " << offset << " len " << len;
+      EXPECT_EQ(Crc32c(p, len, 0x9e3779b9u),
+                ReferenceCrc32c(p, len, 0x9e3779b9u))
+          << "offset " << offset << " len " << len;
+    }
+  }
+}
+
+TEST(ChecksumTest, Crc32cChainsAcrossSplits) {
+  Rng rng(0xc3d);
+  std::vector<uint8_t> data(200);
+  for (auto& b : data) b = static_cast<uint8_t>(rng.Next());
+  const uint32_t whole = Crc32c(data);
+  for (size_t split = 0; split <= data.size(); ++split) {
+    const uint32_t head = Crc32c(data.data(), split);
+    EXPECT_EQ(Crc32c(data.data() + split, data.size() - split, head), whole)
+        << "split " << split;
+  }
 }
 
 TEST(ChecksumTest, Crc32cDetectsBitFlip) {
