@@ -341,7 +341,7 @@ RunResult RunScenario(const ExperimentOptions& flags,
     result.drain_violation_ss += static_cast<double>(
         CountViolatingServers(cluster, params.sla_ms, fleet.sim()->Now()));
     if (!result.drain_completed &&
-        cluster->directory()->TenantsOn(victim).empty() &&
+        cluster->range_directory()->TenantsHomedOn(victim).empty() &&
         rebalancer.inflight() == 0) {
       result.drain_completed = true;
       result.drain_seconds = fleet.sim()->Now() - drain_at;

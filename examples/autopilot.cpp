@@ -117,7 +117,7 @@ int main() {
 
   std::printf("\n== outcome\n");
   for (uint64_t server = 0; server < 3; ++server) {
-    const auto tenants = cluster.directory()->TenantsOn(server);
+    const auto tenants = cluster.range_directory()->TenantsHomedOn(server);
     std::printf("  server %llu: %zu tenant(s)\n",
                 static_cast<unsigned long long>(server), tenants.size());
   }

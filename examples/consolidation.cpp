@@ -85,7 +85,7 @@ int main() {
 
   std::printf("== result\n");
   for (uint64_t server = 0; server < 3; ++server) {
-    const auto tenants = cluster.directory()->TenantsOn(server);
+    const auto tenants = cluster.range_directory()->TenantsHomedOn(server);
     std::printf("  server %llu hosts %zu tenant(s)%s\n",
                 static_cast<unsigned long long>(server), tenants.size(),
                 tenants.empty() ? "  -> can be powered down" : "");

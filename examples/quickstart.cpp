@@ -81,7 +81,7 @@ int main() {
   std::printf("migration:       %s\n", report.status.ToString().c_str());
   std::printf("tenant now on:   server %llu\n",
               static_cast<unsigned long long>(
-                  *cluster.directory()->Lookup(tenant.tenant_id)));
+                  *cluster.range_directory()->HomeOf(tenant.tenant_id)));
   std::printf("data moved:      %.1f MiB snapshot + %.1f KiB deltas "
               "(%d rounds)\n",
               static_cast<double>(report.snapshot_bytes) / kMiB,

@@ -18,17 +18,26 @@ struct OwnedRange {
   bool operator==(const OwnedRange& other) const = default;
 };
 
-/// The range-ownership router (DESIGN.md §16): for each tenant, an
-/// ordered map from range start key to (end, owning server). The ranges
-/// of a tenant always partition [0, kNoUpperBound), so OwnerOf is a
-/// total function over registered tenants — a tenant may span several
-/// servers both mid-migration and at rest (a split tenant).
+/// Where one key of a tenant is served: the owning server, and whether
+/// the tenant is sharded (its ranges live on more than one server).
+struct KeyRoute {
+  uint64_t server = 0;
+  bool sharded = false;
+};
+
+/// The frontend router (§2.2, DESIGN.md §16): for each tenant, an
+/// ordered map from range start key to (end, owning server), plus the
+/// tenant's *home* server. The ranges of a tenant always partition
+/// [0, kNoUpperBound), so OwnerOf is a total function over registered
+/// tenants — a tenant may span several servers both mid-migration and
+/// at rest (a split tenant).
 ///
-/// This complements (does not replace) the per-tenant TenantDirectory:
-/// the flat directory keeps answering "the tenant's primary server" for
-/// consumers that think in whole tenants (rebalancer stats, recovery,
-/// monitors), while this directory answers per-key routing. For an
-/// unsharded tenant the two agree on every key.
+/// The home is the per-tenant answer for consumers that think in whole
+/// tenants (Resolve, monitors, the fleet sampler, crash salvage). It is
+/// always one of the tenant's owners: RegisterTenant sets it, and
+/// MoveRange hands it to the moved range's new owner when the old home
+/// is left owning nothing. For an unsharded tenant the home owns every
+/// key.
 class RangeDirectory {
  public:
   /// Registers `tenant_id` with a single full-keyspace range owned by
@@ -38,10 +47,19 @@ class RangeDirectory {
   Status RemoveTenant(uint64_t tenant_id);
   bool HasTenant(uint64_t tenant_id) const;
 
+  /// The tenant's home server, or NotFound for unknown tenants.
+  Result<uint64_t> HomeOf(uint64_t tenant_id) const;
+  /// Tenants whose home is `server_id`, in ascending id order.
+  std::vector<uint64_t> TenantsHomedOn(uint64_t server_id) const;
+
   /// The server owning `key`, or NotFound for unknown tenants.
   Result<uint64_t> OwnerOf(uint64_t tenant_id, uint64_t key) const;
   /// The range containing `key`, or NotFound for unknown tenants.
   Result<OwnedRange> RangeContaining(uint64_t tenant_id, uint64_t key) const;
+  /// Per-key routing in one tenant lookup: the owner of `key` and
+  /// whether the tenant is sharded (an unsharded tenant's owner is its
+  /// home), or NotFound for unknown tenants.
+  Result<KeyRoute> RouteKey(uint64_t tenant_id, uint64_t key) const;
 
   /// Splits the range containing `split_key` into [lo, split_key) and
   /// [split_key, hi), both keeping the owner. InvalidArgument when
@@ -52,6 +70,8 @@ class RangeDirectory {
   /// handover's directory flip). NotFound unless `exact` matches a
   /// current range boundary-for-boundary — callers split first, then
   /// move; a sloppy move could silently orphan a sliver of keyspace.
+  /// When the old home owns no range afterwards, `server_id` becomes
+  /// the home.
   Status MoveRange(uint64_t tenant_id, const KeyRange& exact,
                    uint64_t server_id);
 
@@ -69,8 +89,9 @@ class RangeDirectory {
   size_t RangeCount(uint64_t tenant_id) const;
 
   /// Structural invariant: the tenant's ranges are contiguous,
-  /// non-overlapping, and cover [0, kNoUpperBound) exactly. Internal
-  /// when violated (a routing table with a hole loses queries).
+  /// non-overlapping, and cover [0, kNoUpperBound) exactly, and the
+  /// home owns one of them. Internal when violated (a routing table
+  /// with a hole loses queries).
   Status ValidateCoverage(uint64_t tenant_id) const;
 
   /// Monotone counter bumped by every mutation (tests assert churn).
@@ -81,9 +102,17 @@ class RangeDirectory {
     uint64_t hi = kNoUpperBound;
     uint64_t server = 0;
   };
-  /// tenant -> (range lo -> entry); std::map iteration order is the key
-  /// order, which keeps every listing deterministic.
-  std::map<uint64_t, std::map<uint64_t, Entry>> tenants_;
+  struct Tenant {
+    uint64_t home = 0;
+    /// range lo -> entry.
+    std::map<uint64_t, Entry> ranges;
+  };
+  static bool OwnsAny(const Tenant& tenant, uint64_t server_id);
+  /// True when a range is owned off the home.
+  static bool Sharded(const Tenant& tenant);
+  /// std::map iteration order is the key order, which keeps every
+  /// listing deterministic.
+  std::map<uint64_t, Tenant> tenants_;
   uint64_t version_ = 0;
 };
 

@@ -60,7 +60,7 @@ Cluster::Cluster(sim::Simulator* sim, const ClusterOptions& options)
     Server* raw = server.get();
     raw->monitor()->SetOutstandingProbe([this, raw](SimTime now) {
       double worst = 0.0;
-      for (uint64_t tenant : directory_.TenantsOn(raw->id())) {
+      for (uint64_t tenant : ranges_.TenantsHomedOn(raw->id())) {
         auto it = pools_by_tenant_.find(tenant);
         if (it == pools_by_tenant_.end()) continue;
         for (workload::ClientPool* pool : it->second) {
@@ -122,12 +122,15 @@ Result<engine::TenantDb*> Cluster::AddTenant(
     return Status::FailedPrecondition("server " + std::to_string(server_id) +
                                       " is draining");
   }
+  if (ranges_.HasTenant(config.tenant_id)) {
+    return Status::AlreadyExists("tenant " + std::to_string(config.tenant_id) +
+                                 " already registered");
+  }
   Result<engine::TenantDb*> db =
       host->tenants()->CreateTenant(config, load, /*frozen=*/false);
   if (!db.ok()) return db;
   auditor_.OnTenantPlaced(server_id, config.tenant_id, host->draining());
   AttachTenantObs(*db);
-  SLACKER_RETURN_IF_ERROR(directory_.Register(config.tenant_id, server_id));
   SLACKER_RETURN_IF_ERROR(ranges_.RegisterTenant(config.tenant_id, server_id));
   auditor_.OnRangeCoverage(config.tenant_id,
                            ranges_.ValidateCoverage(config.tenant_id));
@@ -135,21 +138,13 @@ Result<engine::TenantDb*> Cluster::AddTenant(
 }
 
 Status Cluster::RemoveTenant(uint64_t tenant_id) {
-  Result<uint64_t> host = directory_.Lookup(tenant_id);
-  SLACKER_RETURN_IF_ERROR(host.status());
-  SLACKER_RETURN_IF_ERROR(directory_.Remove(tenant_id));
   // A sharded tenant may hold instances on several servers; drop all.
-  std::vector<uint64_t> owners = ranges_.ServersOf(tenant_id);
-  (void)ranges_.RemoveTenant(tenant_id);
+  // The home is always one of them.
+  const std::vector<uint64_t> owners = ranges_.ServersOf(tenant_id);
+  SLACKER_RETURN_IF_ERROR(ranges_.RemoveTenant(tenant_id));
   Status result = Status::Ok();
-  bool deleted_on_host = false;
   for (uint64_t owner : owners) {
-    if (owner == *host) deleted_on_host = true;
     const Status deleted = DeleteTenantOn(owner, tenant_id);
-    if (!deleted.ok() && result.ok()) result = deleted;
-  }
-  if (!deleted_on_host) {
-    const Status deleted = DeleteTenantOn(*host, tenant_id);
     if (!deleted.ok() && result.ok()) result = deleted;
   }
   return result;
@@ -190,45 +185,56 @@ Status Cluster::MergeTenantRange(uint64_t tenant_id, uint64_t key) {
   return Status::Ok();
 }
 
+MigrationController* Cluster::ControllerWithJob(uint64_t tenant_id) {
+  for (uint64_t owner : ranges_.ServersOf(tenant_id)) {
+    MigrationController* controller = server(owner)->controller();
+    if (controller != nullptr && controller->ActiveJob(tenant_id) != nullptr) {
+      return controller;
+    }
+  }
+  return nullptr;
+}
+
 MigrationJob* Cluster::ActiveJob(uint64_t tenant_id) {
-  const Result<uint64_t> host = directory_.Lookup(tenant_id);
-  if (!host.ok()) return nullptr;
-  Server* source = server(*host);
-  if (source == nullptr || source->controller() == nullptr) return nullptr;
-  return source->controller()->ActiveJob(tenant_id);
+  MigrationController* controller = ControllerWithJob(tenant_id);
+  return controller == nullptr ? nullptr : controller->ActiveJob(tenant_id);
 }
 
 Status Cluster::CancelMigration(uint64_t tenant_id,
                                 const std::string& reason) {
-  const Result<uint64_t> host = directory_.Lookup(tenant_id);
-  SLACKER_RETURN_IF_ERROR(host.status());
-  if (server(*host)->controller() == nullptr) {
+  const Result<uint64_t> home = ranges_.HomeOf(tenant_id);
+  SLACKER_RETURN_IF_ERROR(home.status());
+  if (MigrationController* controller = ControllerWithJob(tenant_id)) {
+    return controller->CancelMigration(tenant_id, reason);
+  }
+  if (server(*home)->controller() == nullptr) {
     return Status::Unavailable("source server is down");
   }
-  return server(*host)->controller()->CancelMigration(tenant_id, reason);
+  return Status::NotFound("no active migration for tenant " +
+                          std::to_string(tenant_id));
 }
 
 engine::TenantDb* Cluster::Resolve(uint64_t tenant_id) {
-  const Result<uint64_t> host = directory_.Lookup(tenant_id);
-  if (!host.ok()) return nullptr;
-  return server(*host)->tenants()->Get(tenant_id);
+  const Result<uint64_t> home = ranges_.HomeOf(tenant_id);
+  if (!home.ok()) return nullptr;
+  return server(*home)->tenants()->Get(tenant_id);
 }
 
 engine::TenantDb* Cluster::ResolveForKey(uint64_t tenant_id, uint64_t key) {
-  if (!ranges_.IsSharded(tenant_id)) return Resolve(tenant_id);
-  const Result<uint64_t> owner = ranges_.OwnerOf(tenant_id, key);
-  if (!owner.ok()) return nullptr;
-  auditor_.OnOpRouted(tenant_id, key, *owner, *owner);
-  Server* host = server(*owner);
+  const Result<range::KeyRoute> route = ranges_.RouteKey(tenant_id, key);
+  if (!route.ok()) return nullptr;
+  if (!route->sharded) return server(route->server)->tenants()->Get(tenant_id);
+  auditor_.OnOpRouted(tenant_id, key, route->server, route->server);
+  Server* host = server(route->server);
   if (host == nullptr || !host->up()) return nullptr;
   return host->tenants()->Get(tenant_id);
 }
 
 workload::ClientPool::LatencyObserver Cluster::MakeLatencyObserver() {
   return [this](uint64_t tenant_id, SimTime now, double latency_ms) {
-    const Result<uint64_t> host = directory_.Lookup(tenant_id);
-    if (!host.ok()) return;
-    server(*host)->monitor()->Record(now, latency_ms);
+    const Result<uint64_t> home = ranges_.HomeOf(tenant_id);
+    if (!home.ok()) return;
+    server(*home)->monitor()->Record(now, latency_ms);
     if (tracer_ != nullptr) {
       if (txn_latency_hist_ != nullptr) txn_latency_hist_->Observe(latency_ms);
       if (sla_threshold_ms_ > 0.0 && latency_ms > sla_threshold_ms_) {
@@ -254,7 +260,7 @@ engine::TenantDb* Cluster::TenantOn(uint64_t server_id, uint64_t tenant_id) {
 }
 
 std::vector<uint64_t> Cluster::SampledTenantsOn(uint64_t server_id) {
-  return directory_.TenantsOn(server_id);
+  return ranges_.TenantsHomedOn(server_id);
 }
 
 bool Cluster::TenantOpsExecuted(uint64_t server_id, uint64_t tenant_id,
@@ -311,8 +317,8 @@ void Cluster::CrashServer(uint64_t server_id) {
   DurableStore* durable = host->durable();
   for (uint64_t tenant_id : host->tenants()->TenantIds()) {
     engine::TenantDb* db = host->tenants()->Get(tenant_id);
-    const Result<uint64_t> authority = directory_.Lookup(tenant_id);
-    if (authority.ok() && *authority == server_id) {
+    const Result<uint64_t> home = ranges_.HomeOf(tenant_id);
+    if (home.ok() && *home == server_id) {
       // The binlog is the WAL — it was written synchronously to disk
       // and survives. The in-memory table does not.
       DurableTenantState state;
@@ -348,8 +354,8 @@ void Cluster::RecoverServer(uint64_t server_id) {
   DurableStore* durable = host->durable();
   for (uint64_t tenant_id : durable->CrashedTenants()) {
     const DurableTenantState* state = durable->CrashState(tenant_id);
-    const Result<uint64_t> authority = directory_.Lookup(tenant_id);
-    if (!authority.ok() || *authority != server_id) {
+    const Result<uint64_t> home = ranges_.HomeOf(tenant_id);
+    if (!home.ok() || *home != server_id) {
       // Ownership moved while this server was down.
       durable->EraseCrashState(tenant_id);
       continue;
@@ -394,7 +400,6 @@ void Cluster::RecoverServer(uint64_t server_id) {
                              "no valid checkpoint); dropping";
         (void)host->tenants()->DeleteTenant(tenant_id);
         durable->EraseCrashState(tenant_id);
-        (void)directory_.Remove(tenant_id);
         (void)ranges_.RemoveTenant(tenant_id);
         continue;
       }
@@ -505,7 +510,7 @@ bool Cluster::IsPartitioned(uint64_t a, uint64_t b) const {
 }
 
 Status Cluster::CheckpointTenant(uint64_t tenant_id) {
-  const Result<uint64_t> host_id = directory_.Lookup(tenant_id);
+  const Result<uint64_t> host_id = ranges_.HomeOf(tenant_id);
   SLACKER_RETURN_IF_ERROR(host_id.status());
   Server* host = server(*host_id);
   if (host == nullptr || !host->up()) {

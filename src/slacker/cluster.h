@@ -21,7 +21,6 @@
 #include "src/slacker/invariant_auditor.h"
 #include "src/slacker/migration.h"
 #include "src/slacker/migration_controller.h"
-#include "src/slacker/tenant_directory.h"
 #include "src/slacker/tenant_manager.h"
 #include "src/workload/client_pool.h"
 
@@ -114,7 +113,7 @@ class Server {
 
 /// The whole testbed in one object (the Figure 4 / Figure 10 setup):
 /// N servers, a full mesh of gigabit links with a message channel per
-/// ordered pair, the frontend tenant directory, and the plumbing that
+/// ordered pair, the frontend router, and the plumbing that
 /// routes client latencies to the hosting server's monitor. Implements
 /// MigrationContext for the jobs, TenantResolver for the benchmark
 /// clients, and FleetOpsSource for the forecast sampler.
@@ -131,17 +130,17 @@ class Cluster : public MigrationContext,
   /// Ids of the servers currently up — the fleet the rebalancer plans
   /// over (a crashed server is neither a migration source nor target).
   std::vector<uint64_t> UpServerIds() const;
-  TenantDirectory* directory() override { return &directory_; }
   /// The directional channel carrying from→to traffic (created on first
   /// use). Exposed so chaos tests can inject faults into it.
   net::Channel* ChannelBetween(uint64_t from, uint64_t to);
 
   // --- Tenant lifecycle -------------------------------------------
-  /// Creates a tenant on `server_id` and registers it in the directory.
+  /// Creates a tenant on `server_id` and registers it in the router
+  /// (AlreadyExists, with nothing created, if it is registered).
   Result<engine::TenantDb*> AddTenant(uint64_t server_id,
                                       const engine::TenantConfig& config,
                                       bool load = true);
-  /// Removes a tenant everywhere (directory + server).
+  /// Removes a tenant everywhere (router + every owning server).
   Status RemoveTenant(uint64_t tenant_id);
 
   // --- Migration --------------------------------------------------
@@ -161,9 +160,12 @@ class Cluster : public MigrationContext,
   /// Merges the range containing `key` with its successor when both
   /// live on the same server (post-migration tidying).
   Status MergeTenantRange(uint64_t tenant_id, uint64_t key);
-  /// The in-flight job for `tenant_id`, or nullptr.
+  /// The in-flight job for `tenant_id`, or nullptr. A range job runs on
+  /// its range's owner, so every owning server is asked, in ascending
+  /// id order; the first that holds a job answers.
   MigrationJob* ActiveJob(uint64_t tenant_id);
-  /// Cancels an in-flight migration; the source stays authoritative.
+  /// Cancels the in-flight migration ActiveJob finds; the source stays
+  /// authoritative.
   Status CancelMigration(uint64_t tenant_id,
                          const std::string& reason = "operator request");
 
@@ -209,11 +211,11 @@ class Cluster : public MigrationContext,
   Status CheckpointTenant(uint64_t tenant_id);
 
   // --- Client plumbing --------------------------------------------
-  /// TenantResolver: current authoritative instance for the tenant.
+  /// TenantResolver: the instance on the tenant's home server.
   engine::TenantDb* Resolve(uint64_t tenant_id) override;
   /// Per-key routing for sharded tenants: the instance on the server
   /// owning `key` per the RangeDirectory. Falls back to Resolve for
-  /// unsharded tenants (the common fast path — one map lookup).
+  /// unsharded tenants (the common fast path — one router lookup).
   engine::TenantDb* ResolveForKey(uint64_t tenant_id, uint64_t key) override;
   /// Observer for ClientPool that feeds the hosting server's monitor.
   workload::ClientPool::LatencyObserver MakeLatencyObserver();
@@ -250,8 +252,9 @@ class Cluster : public MigrationContext,
   obs::Tracer* tracer() override { return tracer_; }
   /// Always on: every Cluster audits its migrations (DESIGN.md §9).
   InvariantAuditor* auditor() override { return &auditor_; }
-  /// The range-ownership router (DESIGN.md §16). Every tenant is
-  /// registered with a single full-keyspace range at AddTenant time.
+  /// The frontend router (DESIGN.md §16): per-key range owners and each
+  /// tenant's home. Every tenant is registered with a single
+  /// full-keyspace range at AddTenant time.
   range::RangeDirectory* range_directory() override { return &ranges_; }
 
   // --- FleetOpsSource ---------------------------------------------
@@ -262,13 +265,15 @@ class Cluster : public MigrationContext,
 
  private:
   void RecoverServer(uint64_t server_id);
+  /// The controller of the first owning server holding a job for the
+  /// tenant (ascending server id), or nullptr.
+  MigrationController* ControllerWithJob(uint64_t tenant_id);
   /// Hooks a tenant instance into the installed tracer's registry.
   void AttachTenantObs(engine::TenantDb* db);
 
   sim::Simulator* sim_;
   ClusterOptions options_;
   std::vector<std::unique_ptr<Server>> servers_;
-  TenantDirectory directory_;
   range::RangeDirectory ranges_;
   // One link + channel per ordered server pair, created lazily.
   std::map<std::pair<uint64_t, uint64_t>,

@@ -1103,10 +1103,9 @@ void MigrationJob::OnHandoverAck(const net::Message& message) {
     Finish(Status::Corruption("handover digest mismatch"));
     return;
   }
-  // The decision record is the range directory entry, flipped strictly
-  // before the commit message. Once a single owner remains, the
-  // whole-tenant directory (the coarse view every non-range consumer
-  // reads) follows in the same step.
+  // The decision record is the router's range entry, flipped strictly
+  // before the commit message. The tenant's home moves in the same step
+  // when the old home is left owning nothing.
   range::RangeDirectory* ranges = ctx_->range_directory();
   const Status moved =
       ranges->MoveRange(tenant_id_, options_.range, target_server_);
@@ -1116,14 +1115,6 @@ void MigrationJob::OnHandoverAck(const net::Message& message) {
     return;
   }
   const std::vector<uint64_t> owners = ranges->ServersOf(tenant_id_);
-  if (owners.size() == 1) {
-    const Status dir_status =
-        ctx_->directory()->Update(tenant_id_, owners.front());
-    if (!dir_status.ok()) {
-      SLACKER_LOG_WARN << "tenant directory sync for tenant " << tenant_id_
-                       << " failed: " << dir_status.ToString();
-    }
-  }
   // Digests agree: commit — the target unfreezes and serves.
   net::Message commit;
   commit.type = net::MessageType::kHandoverCommit;

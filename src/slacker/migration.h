@@ -26,7 +26,6 @@
 #include "src/sim/simulator.h"
 #include "src/slacker/durable_store.h"
 #include "src/slacker/options.h"
-#include "src/slacker/tenant_directory.h"
 #include "src/slacker/throttle_policy.h"
 #include "src/workload/trace.h"
 
@@ -53,7 +52,6 @@ class MigrationContext {
   virtual void SendMessage(uint64_t from_server, uint64_t to_server,
                            const net::Message& message) = 0;
   virtual control::LatencyMonitor* MonitorOn(uint64_t server_id) = 0;
-  virtual TenantDirectory* directory() = 0;
   /// The crash-surviving store of `server_id`, or nullptr when the
   /// context has no durability model (snapshot staging then can't
   /// resume across restarts, only within one incarnation).
@@ -76,9 +74,9 @@ class MigrationContext {
   /// negotiation disabled" (net/negotiation.h) — the default so mock
   /// contexts and pre-versioning setups keep the legacy wire format.
   virtual uint32_t SoftwareVersionOn(uint64_t /*server_id*/) { return 0; }
-  /// Per-range ownership map (DESIGN.md §16). Every job moves one of
-  /// its entries: the handover flips that entry here, and the tenant
-  /// directory follows whenever a single owner remains.
+  /// The frontend router (DESIGN.md §16). Every job moves one of its
+  /// entries: the handover flips that entry here, which also moves the
+  /// tenant's home once the old home owns nothing.
   virtual range::RangeDirectory* range_directory() = 0;
 };
 

@@ -104,12 +104,12 @@ void MigrationSupervisor::Quench(const std::string& reason) {
 
 void MigrationSupervisor::LaunchAttempt() {
   if (finished_ || quenched_) return;
-  // The previous attempt may have died after the directory switched (a
+  // The previous attempt may have died after the router switched (a
   // crash can eat the commit echo): if the tenant already lives on the
   // target, the migration has converged — re-migrating would fail with
   // "same server" and wrongly mark the whole operation failed.
-  const Result<uint64_t> authority = cluster_->directory()->Lookup(tenant_id_);
-  if (authority.ok() && *authority == target_server_) {
+  const Result<uint64_t> home = cluster_->range_directory()->HomeOf(tenant_id_);
+  if (home.ok() && *home == target_server_) {
     SLACKER_LOG_INFO << "tenant " << tenant_id_
                      << " already on target; supervisor converged";
     FinishWith(Status::Ok());

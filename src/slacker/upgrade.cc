@@ -40,7 +40,9 @@ int CountViolatingServers(Cluster* cluster, double sla_ms, SimTime now) {
     if (!cluster->ServerUp(id)) {
       // Down while still authoritative for tenants: every one of their
       // queries is failing, the strongest violation there is.
-      if (!cluster->directory()->TenantsOn(id).empty()) ++violating;
+      if (!cluster->range_directory()->TenantsHomedOn(id).empty()) {
+        ++violating;
+      }
       continue;
     }
     if (sla_ms > 0.0 &&
@@ -156,7 +158,7 @@ bool RollingUpgradeOrchestrator::WaveMayDrain(SimTime now) {
   }
   uint64_t bytes = 0;
   for (uint64_t id : servers) {
-    for (uint64_t tenant_id : cluster_->directory()->TenantsOn(id)) {
+    for (uint64_t tenant_id : cluster_->range_directory()->TenantsHomedOn(id)) {
       engine::TenantDb* db = cluster_->server(id)->tenants()->Get(tenant_id);
       if (db != nullptr) bytes += db->DataBytes();
     }

@@ -58,7 +58,7 @@ TEST(CancelTest, CancelDuringSnapshotRestoresEverything) {
   ASSERT_TRUE(rig.done);
   EXPECT_EQ(rig.report.status.code(), StatusCode::kAborted);
   // Source authoritative and intact; staging gone.
-  EXPECT_EQ(*rig.cluster.directory()->Lookup(1), 0u);
+  EXPECT_EQ(*rig.cluster.range_directory()->HomeOf(1), 0u);
   EXPECT_NE(rig.cluster.TenantOn(0, 1), nullptr);
   EXPECT_EQ(rig.cluster.TenantOn(1, 1), nullptr);
   EXPECT_FALSE(rig.cluster.TenantOn(0, 1)->frozen());
@@ -83,7 +83,7 @@ TEST(CancelTest, RetryAfterCancelSucceeds) {
   ASSERT_TRUE(rig.done);
   EXPECT_TRUE(rig.report.status.ok()) << rig.report.status.ToString();
   EXPECT_TRUE(rig.report.digest_match);
-  EXPECT_EQ(*rig.cluster.directory()->Lookup(1), 1u);
+  EXPECT_EQ(*rig.cluster.range_directory()->HomeOf(1), 1u);
 }
 
 TEST(CancelTest, CancelStopAndCopyUnfreezesSource) {
@@ -150,7 +150,7 @@ TEST(CancelTest, TooLateDuringHandover) {
   ASSERT_TRUE(rig.done);
   EXPECT_TRUE(rig.report.status.ok());
   // Target authoritative — the late cancel must not roll it back.
-  EXPECT_EQ(*rig.cluster.directory()->Lookup(1), 1u);
+  EXPECT_EQ(*rig.cluster.range_directory()->HomeOf(1), 1u);
 }
 
 // Cancels at every phase of a live migration. Before handover the
@@ -207,13 +207,13 @@ TEST(CancelTest, CancelAtEveryPhase) {
       ASSERT_TRUE(too_late);
       // The migration completed; the target is authoritative.
       EXPECT_TRUE(rig.report.status.ok()) << rig.report.status.ToString();
-      EXPECT_EQ(*rig.cluster.directory()->Lookup(1), 1u);
+      EXPECT_EQ(*rig.cluster.range_directory()->HomeOf(1), 1u);
       EXPECT_NE(rig.cluster.TenantOn(1, 1), nullptr);
     } else {
       ASSERT_TRUE(cancelled);
       EXPECT_EQ(rig.report.status.code(), StatusCode::kAborted);
       // Source authoritative, serviceable, staging discarded.
-      EXPECT_EQ(*rig.cluster.directory()->Lookup(1), 0u);
+      EXPECT_EQ(*rig.cluster.range_directory()->HomeOf(1), 0u);
       ASSERT_NE(rig.cluster.TenantOn(0, 1), nullptr);
       EXPECT_FALSE(rig.cluster.TenantOn(0, 1)->frozen());
       EXPECT_EQ(rig.cluster.TenantOn(1, 1), nullptr);
@@ -232,7 +232,7 @@ TEST(CancelTest, WatchdogAbortsSlowMigration) {
   EXPECT_EQ(rig.report.status.code(), StatusCode::kAborted);
   EXPECT_LT(rig.report.DurationSeconds(), 7.0);
   // Rolled back cleanly.
-  EXPECT_EQ(*rig.cluster.directory()->Lookup(1), 0u);
+  EXPECT_EQ(*rig.cluster.range_directory()->HomeOf(1), 0u);
   EXPECT_EQ(rig.cluster.TenantOn(1, 1), nullptr);
   EXPECT_FALSE(rig.cluster.TenantOn(0, 1)->frozen());
 }
@@ -247,7 +247,7 @@ TEST(CancelTest, WatchdogHarmlessWhenMigrationIsFastEnough) {
   rig.sim.RunUntil(120.0);  // Run well past the watchdog firing time.
   ASSERT_TRUE(rig.done);
   EXPECT_TRUE(rig.report.status.ok());
-  EXPECT_EQ(*rig.cluster.directory()->Lookup(1), 1u);
+  EXPECT_EQ(*rig.cluster.range_directory()->HomeOf(1), 1u);
 }
 
 TEST(CancelTest, UnknownTenantOrIdleTenant) {

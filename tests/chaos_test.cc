@@ -80,7 +80,7 @@ TEST_P(ChaosSweep, NeverADivergentAuthority) {
   sim.RunUntil(140.0);
   ASSERT_TRUE(done) << "neither completed nor aborted";
 
-  const uint64_t authority = *cluster.directory()->Lookup(1);
+  const uint64_t authority = *cluster.range_directory()->HomeOf(1);
   engine::TenantDb* serving = cluster.Resolve(1);
   ASSERT_NE(serving, nullptr);
   EXPECT_FALSE(serving->frozen());
@@ -201,7 +201,7 @@ TEST_P(CrashChaosSweep, SupervisorConvergesAcrossCrashes) {
   ASSERT_TRUE(done) << "supervisor never resolved";
   EXPECT_EQ(injector.faults_fired(), 2);
 
-  const auto authority = cluster.directory()->Lookup(1);
+  const auto authority = cluster.range_directory()->HomeOf(1);
   ASSERT_TRUE(authority.ok()) << "tenant lost from the directory";
   const uint64_t owner = *authority;
   ASSERT_TRUE(cluster.ServerUp(owner));

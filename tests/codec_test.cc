@@ -589,7 +589,7 @@ TEST(CodecMigrationTest, RawAndAdaptiveConvergeToSameAuthority) {
     ASSERT_TRUE(done) << CodecModeName(mode);
     ASSERT_TRUE(report.status.ok()) << report.status.ToString();
     EXPECT_TRUE(report.digest_match) << CodecModeName(mode);
-    EXPECT_EQ(*cluster.directory()->Lookup(1), 1u);
+    EXPECT_EQ(*cluster.range_directory()->HomeOf(1), 1u);
     if (mode == CodecMode::kRaw) {
       // Raw accounting: wire bytes equal logical bytes exactly.
       EXPECT_EQ(report.snapshot_wire_bytes, report.snapshot_bytes);
@@ -662,7 +662,7 @@ TEST(CodecMigrationTest, MixedVersionPairDowngradesToCommonCodec) {
     ASSERT_TRUE(done);
     ASSERT_TRUE(report.status.ok()) << report.status.ToString();
     EXPECT_TRUE(report.digest_match);
-    EXPECT_EQ(*cluster.directory()->Lookup(1), 1u);
+    EXPECT_EQ(*cluster.range_directory()->HomeOf(1), 1u);
     if (c.expect_compressed) {
       EXPECT_GT(report.chunks_lz, 0u);
       EXPECT_LT(report.snapshot_wire_bytes, report.snapshot_bytes);

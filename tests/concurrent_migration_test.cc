@@ -58,8 +58,8 @@ TEST(ConcurrentMigrationTest, FanOutFromOneSource) {
     EXPECT_TRUE(report.status.ok()) << tenant;
     EXPECT_TRUE(report.digest_match) << tenant;
   }
-  EXPECT_EQ(*rig.cluster.directory()->Lookup(1), 1u);
-  EXPECT_EQ(*rig.cluster.directory()->Lookup(2), 2u);
+  EXPECT_EQ(*rig.cluster.range_directory()->HomeOf(1), 1u);
+  EXPECT_EQ(*rig.cluster.range_directory()->HomeOf(2), 2u);
   EXPECT_EQ(rig.cluster.server(0)->tenants()->tenant_count(), 0u);
 }
 
@@ -95,8 +95,8 @@ TEST(ConcurrentMigrationTest, CrossingFlowsSwapServers) {
   ASSERT_EQ(rig.reports.size(), 2u);
   EXPECT_TRUE(rig.reports[1].status.ok());
   EXPECT_TRUE(rig.reports[2].status.ok());
-  EXPECT_EQ(*rig.cluster.directory()->Lookup(1), 1u);
-  EXPECT_EQ(*rig.cluster.directory()->Lookup(2), 0u);
+  EXPECT_EQ(*rig.cluster.range_directory()->HomeOf(1), 1u);
+  EXPECT_EQ(*rig.cluster.range_directory()->HomeOf(2), 0u);
   EXPECT_TRUE(rig.reports[1].digest_match);
   EXPECT_TRUE(rig.reports[2].digest_match);
 }

@@ -88,7 +88,7 @@ TEST_P(CrashPhaseSweep, ExactlyOneAuthoritativeReplica) {
   sim.RunUntil(sim.Now() + 60.0);
 
   // Exactly one authoritative replica, and it is intact.
-  const auto authority = cluster.directory()->Lookup(1);
+  const auto authority = cluster.range_directory()->HomeOf(1);
   ASSERT_TRUE(authority.ok()) << "tenant lost from the directory";
   const uint64_t owner = *authority;
   engine::TenantDb* serving = cluster.Resolve(1);

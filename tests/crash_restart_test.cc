@@ -195,7 +195,7 @@ TEST(CrashRestartTest, PartitionDropsMessagesUntilHealed) {
   sim.RunUntil(30.0);
   ASSERT_TRUE(done);
   EXPECT_EQ(report.status.code(), StatusCode::kAborted);  // Watchdog.
-  EXPECT_EQ(*cluster.directory()->Lookup(1), 0u);
+  EXPECT_EQ(*cluster.range_directory()->HomeOf(1), 0u);
 
   // Heal; a fresh attempt completes.
   cluster.SetPartitioned(0, 1, false);
@@ -210,7 +210,7 @@ TEST(CrashRestartTest, PartitionDropsMessagesUntilHealed) {
   sim.RunUntil(120.0);
   ASSERT_TRUE(done);
   EXPECT_TRUE(report.status.ok()) << report.status.ToString();
-  EXPECT_EQ(*cluster.directory()->Lookup(1), 1u);
+  EXPECT_EQ(*cluster.range_directory()->HomeOf(1), 1u);
 }
 
 TEST(CrashRestartTest, MigrationToDownServerIsRefused) {

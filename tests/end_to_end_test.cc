@@ -103,7 +103,7 @@ TEST_P(MigrationPropertyTest, InvariantsHold) {
   // (d) Cluster serviceable: no failed transactions, source cleaned up.
   EXPECT_EQ(pool.stats().failed, 0u);
   EXPECT_EQ(cluster.TenantOn(0, 1), nullptr);
-  EXPECT_EQ(*cluster.directory()->Lookup(1), 1u);
+  EXPECT_EQ(*cluster.range_directory()->HomeOf(1), 1u);
   EXPECT_GT(pool.stats().completed, 100u);
 }
 
@@ -193,9 +193,9 @@ TEST(MultiTenantE2ETest, NeighborsKeepRunningDuringMigration) {
   sim.RunUntil(430.0);
 
   // Tenant 2 moved; neighbors 1 and 3 stayed and kept completing.
-  EXPECT_EQ(*cluster.directory()->Lookup(2), 1u);
-  EXPECT_EQ(*cluster.directory()->Lookup(1), 0u);
-  EXPECT_EQ(*cluster.directory()->Lookup(3), 0u);
+  EXPECT_EQ(*cluster.range_directory()->HomeOf(2), 1u);
+  EXPECT_EQ(*cluster.range_directory()->HomeOf(1), 0u);
+  EXPECT_EQ(*cluster.range_directory()->HomeOf(3), 0u);
   for (auto& pool : pools) {
     EXPECT_EQ(pool->stats().failed, 0u);
     EXPECT_GT(pool->stats().completed, 100u);

@@ -62,7 +62,7 @@ TEST(FaultInjectionTest, LostSnapshotAckTriggersWatchdogAbort) {
   ASSERT_TRUE(rig.done);
   EXPECT_EQ(rig.report.status.code(), StatusCode::kAborted);
   // Source intact and serving; no half-migrated staging left behind.
-  EXPECT_EQ(*rig.cluster.directory()->Lookup(1), 0u);
+  EXPECT_EQ(*rig.cluster.range_directory()->HomeOf(1), 0u);
   EXPECT_FALSE(rig.cluster.TenantOn(0, 1)->frozen());
   EXPECT_EQ(rig.cluster.TenantOn(1, 1), nullptr);
   EXPECT_GT(rig.cluster.ChannelBetween(1, 0)->messages_dropped(), 0u);
@@ -121,7 +121,7 @@ TEST(FaultInjectionTest, CorruptedFramesSurfaceAsChannelErrors) {
   EXPECT_GT(corrupted, 0);
   EXPECT_EQ(errors, corrupted);
   if (!rig.report.status.ok()) {
-    EXPECT_EQ(*rig.cluster.directory()->Lookup(1), 0u);
+    EXPECT_EQ(*rig.cluster.range_directory()->HomeOf(1), 0u);
   }
 }
 
@@ -150,7 +150,7 @@ TEST(FaultInjectionTest, DroppedChunkIsRetransmittedAndMigrationSucceeds) {
   EXPECT_TRUE(rig.report.status.ok()) << rig.report.status.ToString();
   EXPECT_TRUE(rig.report.digest_match);
   EXPECT_GT(rig.report.chunks_retransmitted, 0u);
-  EXPECT_EQ(*rig.cluster.directory()->Lookup(1), 1u);
+  EXPECT_EQ(*rig.cluster.range_directory()->HomeOf(1), 1u);
   EXPECT_FALSE(rig.cluster.TenantOn(1, 1)->frozen());
 }
 
@@ -172,7 +172,7 @@ TEST(FaultInjectionTest, RetransmitBudgetExhaustionAbortsCleanly) {
   rig.sim.RunUntil(240.0);
   ASSERT_TRUE(rig.done);
   EXPECT_EQ(rig.report.status.code(), StatusCode::kCorruption);
-  EXPECT_EQ(*rig.cluster.directory()->Lookup(1), 0u);
+  EXPECT_EQ(*rig.cluster.range_directory()->HomeOf(1), 0u);
   EXPECT_FALSE(rig.cluster.TenantOn(0, 1)->frozen());
 }
 
@@ -286,7 +286,7 @@ TEST(PeriodicFaultTest, MigrationSurvivesPeriodicPartitions) {
   }
   EXPECT_TRUE(landed);
   EXPECT_EQ(injector.faults_fired(), 10);  // 5 cuts + 5 heals.
-  EXPECT_EQ(*rig.cluster.directory()->Lookup(1), 1u);
+  EXPECT_EQ(*rig.cluster.range_directory()->HomeOf(1), 1u);
 }
 
 }  // namespace

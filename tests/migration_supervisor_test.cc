@@ -95,7 +95,7 @@ TEST(MigrationSupervisorTest, TargetCrashMidSnapshotResumesAndCompletes) {
   EXPECT_TRUE(run.report.attempts.back().status.ok());
 
   // The tenant landed on the target, intact, serving.
-  EXPECT_EQ(*cluster.directory()->Lookup(1), 1u);
+  EXPECT_EQ(*cluster.range_directory()->HomeOf(1), 1u);
   engine::TenantDb* serving = cluster.Resolve(1);
   ASSERT_NE(serving, nullptr);
   EXPECT_FALSE(serving->frozen());
@@ -137,7 +137,7 @@ TEST(MigrationSupervisorTest, SourceCrashSynthesizedByAttemptTimeout) {
   ASSERT_TRUE(run.done);
   EXPECT_TRUE(run.report.status.ok()) << run.report.status.ToString();
   EXPECT_GE(run.report.attempt_count, 2);
-  EXPECT_EQ(*cluster.directory()->Lookup(1), 1u);
+  EXPECT_EQ(*cluster.range_directory()->HomeOf(1), 1u);
   engine::TenantDb* serving = cluster.Resolve(1);
   ASSERT_NE(serving, nullptr);
   EXPECT_FALSE(serving->frozen());
@@ -193,7 +193,7 @@ TEST(MigrationSupervisorTest, BudgetExhaustionReportsLastFailure) {
   EXPECT_FALSE(run.report.status.ok());
   EXPECT_EQ(run.report.attempt_count, 3);
   EXPECT_EQ(run.report.attempts.size(), 3u);
-  EXPECT_EQ(*cluster.directory()->Lookup(1), 0u);
+  EXPECT_EQ(*cluster.range_directory()->HomeOf(1), 0u);
   EXPECT_FALSE(cluster.TenantOn(0, 1)->frozen());
 }
 

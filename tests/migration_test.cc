@@ -68,7 +68,7 @@ TEST(MigrationTest, IdleTenantLiveMigrationCompletes) {
   ASSERT_TRUE(rig.report.status.ok()) << rig.report.status.ToString();
   EXPECT_TRUE(rig.report.digest_match);
   EXPECT_EQ(rig.report.snapshot_bytes, 64 * kMiB);
-  EXPECT_EQ(*rig.cluster.directory()->Lookup(1), 1u);
+  EXPECT_EQ(*rig.cluster.range_directory()->HomeOf(1), 1u);
   // The tenant now lives (only) on server 1, with identical state.
   EXPECT_EQ(rig.cluster.TenantOn(0, 1), nullptr);
   engine::TenantDb* moved = rig.cluster.TenantOn(1, 1);
@@ -295,7 +295,7 @@ TEST(MigrationTest, AbortsWhenTargetAlreadyHasTenant) {
   ASSERT_TRUE(rig.done);
   EXPECT_EQ(rig.report.status.code(), StatusCode::kAborted);
   // Source still authoritative and intact.
-  EXPECT_EQ(*rig.cluster.directory()->Lookup(1), 0u);
+  EXPECT_EQ(*rig.cluster.range_directory()->HomeOf(1), 0u);
   EXPECT_NE(rig.cluster.TenantOn(0, 1), nullptr);
 }
 
@@ -346,7 +346,7 @@ TEST(MigrationTest, SecondMigrationAfterFirstWorks) {
   ASSERT_TRUE(rig.done);
   ASSERT_TRUE(rig.report.status.ok()) << rig.report.status.ToString();
   EXPECT_TRUE(rig.report.digest_match);
-  EXPECT_EQ(*rig.cluster.directory()->Lookup(1), 2u);
+  EXPECT_EQ(*rig.cluster.range_directory()->HomeOf(1), 2u);
   EXPECT_EQ(pool.stats().failed, 0u);
 }
 

@@ -1,5 +1,6 @@
 // Tests for the range-ownership subsystem (DESIGN.md §16): the
-// RangeDirectory router, B+-tree-aligned partitioning, range-scoped
+// RangeDirectory router and its per-tenant home, the cluster's tenant
+// lookups through it, B+-tree-aligned partitioning, range-scoped
 // migration jobs (a tenant sharded across servers mid-flight and at
 // rest), the FluidMigrator orchestration, the auditor's range
 // invariants, a cancel-at-every-phase sweep for a single range job,
@@ -86,6 +87,69 @@ TEST(RangeDirectoryTest, VersionBumpsOnEveryMutation) {
   ASSERT_TRUE(dir.Split(1, 9).ok());
   ASSERT_TRUE(dir.MoveRange(1, KeyRange{0, 9}, 1).ok());
   EXPECT_GE(dir.version(), v0 + 3);
+}
+
+TEST(RangeDirectoryTest, RegisterHomeMoveRemove) {
+  RangeDirectory dir;
+  ASSERT_TRUE(dir.RegisterTenant(5, 0).ok());
+  EXPECT_EQ(*dir.HomeOf(5), 0u);
+  ASSERT_TRUE(dir.MoveRange(5, KeyRange{0, kNoUpperBound}, 2).ok());
+  EXPECT_EQ(*dir.HomeOf(5), 2u);
+  ASSERT_TRUE(dir.RemoveTenant(5).ok());
+  EXPECT_FALSE(dir.HomeOf(5).ok());
+}
+
+TEST(RangeDirectoryTest, DuplicateRegisterRejected) {
+  RangeDirectory dir;
+  ASSERT_TRUE(dir.RegisterTenant(5, 0).ok());
+  EXPECT_EQ(dir.RegisterTenant(5, 1).code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(*dir.HomeOf(5), 0u);  // The first registration stands.
+}
+
+TEST(RangeDirectoryTest, UnknownTenantRejected) {
+  RangeDirectory dir;
+  EXPECT_EQ(dir.HomeOf(9).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(dir.RouteKey(9, 0).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(dir.MoveRange(9, KeyRange{0, kNoUpperBound}, 1).code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(dir.RemoveTenant(9).code(), StatusCode::kNotFound);
+}
+
+TEST(RangeDirectoryTest, TenantsHomedOnFiltersByServerInIdOrder) {
+  RangeDirectory dir;
+  for (const uint64_t tenant : {7, 2, 4, 1}) {
+    ASSERT_TRUE(dir.RegisterTenant(tenant, 0).ok());
+  }
+  ASSERT_TRUE(dir.RegisterTenant(3, 1).ok());
+  EXPECT_EQ(dir.TenantsHomedOn(0), (std::vector<uint64_t>{1, 2, 4, 7}));
+  EXPECT_EQ(dir.TenantsHomedOn(1), (std::vector<uint64_t>{3}));
+  EXPECT_TRUE(dir.TenantsHomedOn(7).empty());
+}
+
+// The home stays put while it owns a range and passes to the moved
+// range's new owner once it owns none, so it never names an empty
+// server.
+TEST(RangeDirectoryTest, HomeMovesOnlyWhenTheOldHomeOwnsNothing) {
+  RangeDirectory dir;
+  ASSERT_TRUE(dir.RegisterTenant(1, 0).ok());
+  ASSERT_TRUE(dir.Split(1, 1000).ok());
+  ASSERT_TRUE(dir.MoveRange(1, KeyRange{1000, kNoUpperBound}, 1).ok());
+  EXPECT_EQ(*dir.HomeOf(1), 0u);
+  ASSERT_TRUE(dir.MoveRange(1, KeyRange{1000, kNoUpperBound}, 2).ok());
+  EXPECT_EQ(*dir.HomeOf(1), 0u);
+  ASSERT_TRUE(dir.MoveRange(1, KeyRange{0, 1000}, 1).ok());
+  EXPECT_EQ(*dir.HomeOf(1), 1u);
+  EXPECT_EQ(dir.ServersOf(1), (std::vector<uint64_t>{1, 2}));
+  EXPECT_TRUE(dir.ValidateCoverage(1).ok());
+  EXPECT_TRUE(dir.TenantsHomedOn(0).empty());
+
+  // Per-key routing: the home for an unsharded tenant, the owner else.
+  EXPECT_EQ(dir.RouteKey(1, 0)->server, 1u);
+  EXPECT_EQ(dir.RouteKey(1, 1000)->server, 2u);
+  EXPECT_TRUE(dir.RouteKey(1, 0)->sharded);
+  ASSERT_TRUE(dir.MoveRange(1, KeyRange{1000, kNoUpperBound}, 1).ok());
+  EXPECT_FALSE(dir.RouteKey(1, 1000)->sharded);
+  EXPECT_EQ(dir.RouteKey(1, 1000)->server, 1u);
 }
 
 // --- Partitioner ---------------------------------------------------
@@ -216,9 +280,9 @@ TEST(RangeMigrationTest, MovesOnlyTheRangeAndShardsTheTenant) {
   // Per-key routing agrees with the split.
   EXPECT_EQ(rig.cluster.ResolveForKey(1, 0), low);
   EXPECT_EQ(rig.cluster.ResolveForKey(1, mid), high);
-  // The whole-tenant directory still answers (coarse view unchanged
-  // while the tenant spans servers).
-  EXPECT_TRUE(rig.cluster.directory()->Lookup(1).ok());
+  // The home stays on the source, which still owns the low half.
+  EXPECT_EQ(*dir->HomeOf(1), 0u);
+  EXPECT_EQ(rig.cluster.Resolve(1), low);
 }
 
 TEST(RangeMigrationTest, MovingAllRangesConvergesAndRetiresSource) {
@@ -236,11 +300,11 @@ TEST(RangeMigrationTest, MovingAllRangesConvergesAndRetiresSource) {
     ASSERT_TRUE(rig.done);
     ASSERT_TRUE(rig.report.status.ok()) << rig.report.status.ToString();
   }
-  // Converged: source instance retired, directory synced to the target.
+  // Converged: source instance retired, home moved to the target.
   EXPECT_EQ(rig.cluster.TenantOn(0, 1), nullptr);
   ASSERT_NE(rig.cluster.TenantOn(1, 1), nullptr);
   EXPECT_EQ(rig.cluster.TenantOn(1, 1)->table().size(), 64u * 1024);
-  EXPECT_EQ(*rig.cluster.directory()->Lookup(1), 1u);
+  EXPECT_EQ(*rig.cluster.range_directory()->HomeOf(1), 1u);
   EXPECT_EQ(rig.cluster.range_directory()->ServersOf(1),
             (std::vector<uint64_t>{1}));
   EXPECT_TRUE(rig.cluster.range_directory()->ValidateCoverage(1).ok());
@@ -262,7 +326,7 @@ TEST(RangeMigrationTest, GranularityOneFullRangeJobMatchesWholeTenant) {
   EXPECT_TRUE(rig.report.digest_match);
   EXPECT_EQ(rig.cluster.TenantOn(0, 1), nullptr);
   ASSERT_NE(rig.cluster.TenantOn(1, 1), nullptr);
-  EXPECT_EQ(*rig.cluster.directory()->Lookup(1), 1u);
+  EXPECT_EQ(*rig.cluster.range_directory()->HomeOf(1), 1u);
   EXPECT_FALSE(rig.cluster.range_directory()->IsSharded(1));
 }
 
@@ -333,6 +397,120 @@ TEST(RangeMigrationTest, UnderLoadLosesNoAckedWrite) {
   }
 }
 
+// --- One router: cluster-level tenant lookups ----------------------
+
+TEST(RouterTest, DuplicateAddTenantCreatesNoInstance) {
+  RangeRig rig;
+  ASSERT_TRUE(rig.cluster.AddTenant(0, SmallTenant(5)).ok());
+  EXPECT_EQ(rig.cluster.AddTenant(1, SmallTenant(5)).status().code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(rig.cluster.TenantOn(1, 5), nullptr);
+  EXPECT_EQ(*rig.cluster.range_directory()->HomeOf(5), 0u);
+  EXPECT_EQ(rig.cluster.Resolve(5), rig.cluster.TenantOn(0, 5));
+}
+
+// DESIGN §13.1: the fleet sampler walks each server's tenants in id
+// order, whatever order they were added in.
+TEST(RouterTest, SampledTenantsOnWalksInIdOrder) {
+  RangeRig rig;
+  for (const uint64_t tenant : {1, 2, 3, 7, 4}) {
+    engine::TenantConfig config = SmallTenant(tenant);
+    config.layout.record_count = 256;
+    ASSERT_TRUE(rig.cluster.AddTenant(0, config, /*load=*/false).ok());
+  }
+  EXPECT_EQ(rig.cluster.SampledTenantsOn(0),
+            (std::vector<uint64_t>{1, 2, 3, 4, 7}));
+  EXPECT_TRUE(rig.cluster.SampledTenantsOn(1).empty());
+}
+
+// A range job runs on its range's owner, which need not be the home:
+// ActiveJob and CancelMigration must find it there.
+TEST(RouterTest, ActiveJobAndCancelSeeARangeJobOffTheHome) {
+  RangeRig rig;
+  ASSERT_TRUE(rig.cluster.AddTenant(0, SmallTenant()).ok());
+  const uint64_t mid = 32 * 1024;
+  const KeyRange upper{mid, kNoUpperBound};
+  ASSERT_TRUE(rig.cluster.SplitTenantRange(1, mid).ok());
+  ASSERT_TRUE(rig.cluster
+                  .StartMigration(1, 1, OfRange(FastLive(), upper), rig.Done())
+                  .ok());
+  rig.sim.RunUntil(120.0);
+  ASSERT_TRUE(rig.done);
+  ASSERT_TRUE(rig.report.status.ok()) << rig.report.status.ToString();
+  EXPECT_EQ(rig.cluster.ActiveJob(1), nullptr);
+  EXPECT_EQ(rig.cluster.CancelMigration(1).code(), StatusCode::kNotFound);
+
+  rig.done = false;
+  ASSERT_TRUE(rig.cluster
+                  .StartMigration(1, 2, OfRange(FastLive(), upper), rig.Done())
+                  .ok());
+  EXPECT_EQ(*rig.cluster.range_directory()->HomeOf(1), 0u);
+  MigrationJob* job = rig.cluster.ActiveJob(1);
+  ASSERT_NE(job, nullptr);
+  EXPECT_EQ(job, rig.cluster.server(1)->controller()->ActiveJob(1));
+  const Status cancelled = rig.cluster.CancelMigration(1, "off-home");
+  EXPECT_TRUE(cancelled.ok()) << cancelled.ToString();
+  rig.sim.RunUntil(rig.sim.Now() + 60.0);
+  ASSERT_TRUE(rig.done);
+  EXPECT_EQ(rig.report.status.code(), StatusCode::kAborted);
+  EXPECT_EQ(*rig.cluster.range_directory()->OwnerOf(1, mid), 1u);
+  EXPECT_EQ(rig.cluster.TenantOn(2, 1), nullptr);
+}
+
+// The stale-home case: upper range 0 -> 1 -> 2, then lower range
+// 0 -> 1. Server 0 is left with nothing, so the home must move to 1;
+// a home still naming 0 would resolve to no instance and block the
+// next fluid move.
+TEST(RouterTest, HomeFollowsTheLastRangeOffTheOldHome) {
+  RangeRig rig;
+  ASSERT_TRUE(rig.cluster.AddTenant(0, SmallTenant()).ok());
+  const uint64_t mid = 32 * 1024;
+  ASSERT_TRUE(rig.cluster.SplitTenantRange(1, mid).ok());
+  const struct {
+    KeyRange range;
+    uint64_t target;
+  } kMoves[] = {{KeyRange{mid, kNoUpperBound}, 1},
+                {KeyRange{mid, kNoUpperBound}, 2},
+                {KeyRange{0, mid}, 1}};
+  for (const auto& move : kMoves) {
+    rig.done = false;
+    ASSERT_TRUE(rig.cluster
+                    .StartMigration(1, move.target,
+                                    OfRange(FastLive(), move.range),
+                                    rig.Done())
+                    .ok());
+    rig.sim.RunUntil(rig.sim.Now() + 120.0);
+    ASSERT_TRUE(rig.done);
+    ASSERT_TRUE(rig.report.status.ok()) << rig.report.status.ToString();
+  }
+  RangeDirectory* dir = rig.cluster.range_directory();
+  EXPECT_EQ(rig.cluster.TenantOn(0, 1), nullptr);
+  EXPECT_EQ(*dir->HomeOf(1), 1u);
+  ASSERT_NE(rig.cluster.Resolve(1), nullptr);
+  EXPECT_EQ(rig.cluster.Resolve(1), rig.cluster.TenantOn(1, 1));
+  EXPECT_TRUE(dir->ValidateCoverage(1).ok());
+
+  FluidMigrationOptions options;
+  options.target_ranges = 2;
+  options.migration = FastLive();
+  FluidMigrationReport report;
+  bool done = false;
+  FluidMigrator migrator(&rig.cluster, 1, 2, options,
+                         [&](const FluidMigrationReport& r) {
+                           report = r;
+                           done = true;
+                         });
+  const Status started = migrator.Start();
+  ASSERT_TRUE(started.ok()) << started.ToString();
+  rig.sim.RunUntil(rig.sim.Now() + 300.0);
+  ASSERT_TRUE(done);
+  ASSERT_TRUE(report.status.ok()) << report.status.ToString();
+  EXPECT_EQ(*dir->HomeOf(1), 2u);
+  EXPECT_EQ(dir->ServersOf(1), (std::vector<uint64_t>{2}));
+  ASSERT_NE(rig.cluster.TenantOn(2, 1), nullptr);
+  EXPECT_EQ(rig.cluster.TenantOn(2, 1)->table().size(), 64u * 1024);
+}
+
 // --- Whole-tenant moves are the full-range job ---------------------
 
 FluidMigrationOptions FluidFast(size_t ranges) {
@@ -342,9 +520,9 @@ FluidMigrationOptions FluidFast(size_t ranges) {
   return options;
 }
 
-// A whole move flips the tenant's range entry along with the tenant
-// directory, so a later fluid move plans from where the tenant really
-// lives — back to the original server or on to a third one.
+// A whole move flips the tenant's range entry and its home, so a later
+// fluid move plans from where the tenant really lives — back to the
+// original server or on to a third one.
 TEST(WholeMoveRoutingTest, FluidMoveAfterWholeMoveMovesTheTenant) {
   for (const uint64_t fluid_target : {uint64_t{0}, uint64_t{2}}) {
     SCOPED_TRACE(fluid_target);
@@ -374,7 +552,7 @@ TEST(WholeMoveRoutingTest, FluidMoveAfterWholeMoveMovesTheTenant) {
     ASSERT_NE(rig.cluster.TenantOn(fluid_target, 1), nullptr);
     EXPECT_EQ(rig.cluster.TenantOn(fluid_target, 1)->table().size(),
               64u * 1024);
-    EXPECT_EQ(*rig.cluster.directory()->Lookup(1), fluid_target);
+    EXPECT_EQ(*rig.cluster.range_directory()->HomeOf(1), fluid_target);
     EXPECT_EQ(rig.cluster.range_directory()->ServersOf(1),
               (std::vector<uint64_t>{fluid_target}));
   }
@@ -446,9 +624,45 @@ TEST(FluidMigrationTest, MovesWholeTenantRangeByRange) {
   EXPECT_EQ(rig.cluster.TenantOn(0, 1), nullptr);
   ASSERT_NE(rig.cluster.TenantOn(1, 1), nullptr);
   EXPECT_EQ(rig.cluster.TenantOn(1, 1)->table().size(), 64u * 1024);
-  EXPECT_EQ(*rig.cluster.directory()->Lookup(1), 1u);
+  EXPECT_EQ(*rig.cluster.range_directory()->HomeOf(1), 1u);
   EXPECT_EQ(rig.cluster.range_directory()->RangeCount(1), 1u);
   EXPECT_TRUE(rig.cluster.range_directory()->ValidateCoverage(1).ok());
+}
+
+// The home flips exactly where a whole move flips it: it stays on the
+// source while the source owns any range and names the target once the
+// last range lands. The seeded digests depend on this step.
+TEST(FluidMigrationTest, HomeStaysOnSourceUntilTheLastRangeLands) {
+  RangeRig rig;
+  ASSERT_TRUE(rig.cluster.AddTenant(0, SmallTenant()).ok());
+  bool done = false;
+  FluidMigrationReport report;
+  FluidMigrator migrator(&rig.cluster, 1, 1, FluidFast(4),
+                         [&](const FluidMigrationReport& r) {
+                           report = r;
+                           done = true;
+                         });
+  ASSERT_TRUE(migrator.Start().ok());
+  RangeDirectory* dir = rig.cluster.range_directory();
+  int sharded_polls = 0;
+  while (!done && rig.sim.Now() < 300.0) {
+    const std::vector<uint64_t> owners = dir->ServersOf(1);
+    const uint64_t home = *dir->HomeOf(1);
+    if (std::find(owners.begin(), owners.end(), 0) != owners.end()) {
+      EXPECT_EQ(home, 0u) << "at t=" << rig.sim.Now();
+      EXPECT_EQ(rig.cluster.Resolve(1), rig.cluster.TenantOn(0, 1));
+    } else {
+      EXPECT_EQ(home, 1u) << "at t=" << rig.sim.Now();
+    }
+    if (owners.size() > 1) ++sharded_polls;
+    rig.sim.RunUntil(rig.sim.Now() + 0.05);
+  }
+  ASSERT_TRUE(done);
+  ASSERT_TRUE(report.status.ok()) << report.status.ToString();
+  EXPECT_GE(report.ranges_moved, 2u);
+  EXPECT_GT(sharded_polls, 0);
+  EXPECT_EQ(*dir->HomeOf(1), 1u);
+  EXPECT_EQ(dir->TenantsHomedOn(1), (std::vector<uint64_t>{1}));
 }
 
 TEST(FluidMigrationTest, GranularityOneIsWholeTenantCompatibilityMode) {
@@ -471,7 +685,7 @@ TEST(FluidMigrationTest, GranularityOneIsWholeTenantCompatibilityMode) {
   EXPECT_EQ(report.ranges_planned, 1u);
   EXPECT_EQ(report.ranges_moved, 1u);
   EXPECT_EQ(rig.cluster.range_directory()->RangeCount(1), 1u);
-  EXPECT_EQ(*rig.cluster.directory()->Lookup(1), 1u);
+  EXPECT_EQ(*rig.cluster.range_directory()->HomeOf(1), 1u);
 }
 
 // --- Auditor range invariants (death tests) ------------------------
