@@ -122,12 +122,7 @@ void ClientPool::OnTxnDone(PendingTxn txn, const engine::TxnResult& result) {
     const double latency_ms = result.LatencyMs();
     latencies_.Add(latency_ms);
     latency_series_.Add(result.end, latency_ms);
-    for (const engine::WrittenRow& w : result.writes) {
-      AckedWrite& slot = acked_writes_[w.key];
-      if (w.lsn > slot.lsn) {
-        slot = AckedWrite{w.lsn, w.digest, w.deleted};
-      }
-    }
+    if (completion_hook_) completion_hook_(result);
     if (observer_) observer_(txn.spec.tenant_id, result.end, latency_ms);
   } else {
     ++stats_.failed;

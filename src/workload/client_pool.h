@@ -5,7 +5,7 @@
 #include <deque>
 #include <functional>
 #include <set>
-#include <unordered_map>
+#include <utility>
 
 #include "src/common/stats.h"
 #include "src/common/units.h"
@@ -88,15 +88,13 @@ class ClientPool {
   int busy_clients() const { return busy_clients_; }
   size_t queue_depth() const { return queue_.size(); }
 
-  /// Most recent acknowledged write per key: key -> (lsn, digest,
-  /// deleted). Used by durability checks after migration.
-  struct AckedWrite {
-    storage::Lsn lsn = 0;
-    uint64_t digest = 0;
-    bool deleted = false;
-  };
-  const std::unordered_map<uint64_t, AckedWrite>& acked_writes() const {
-    return acked_writes_;
+  /// Subscribes `hook` to every committed transaction's result (ahead
+  /// of the latency observer). One subscriber; a later call replaces it.
+  /// Tests use it to keep an acked-write ledger for durability checks;
+  /// without a hook the pool does no per-write work.
+  using CompletionHook = std::function<void(const engine::TxnResult&)>;
+  void set_completion_hook(CompletionHook hook) {
+    completion_hook_ = std::move(hook);
   }
 
  private:
@@ -122,6 +120,7 @@ class ClientPool {
   YcsbWorkload* workload_;
   TenantResolver* resolver_;
   LatencyObserver observer_;
+  CompletionHook completion_hook_;
 
   bool running_ = false;
   bool route_by_key_ = false;
@@ -133,7 +132,6 @@ class ClientPool {
   PercentileTracker latencies_;
   TimeSeries latency_series_;
   ClientPoolStats stats_;
-  std::unordered_map<uint64_t, AckedWrite> acked_writes_;
 };
 
 }  // namespace slacker::workload

@@ -18,6 +18,7 @@
 #include "src/slacker/migration_supervisor.h"
 #include "src/workload/client_pool.h"
 #include "src/workload/ycsb.h"
+#include "testing/acked_write_ledger.h"
 
 namespace slacker {
 namespace {
@@ -58,6 +59,7 @@ TEST_P(ChaosSweep, NeverADivergentAuthority) {
   workload::ClientPool pool(&sim, &workload, &cluster,
                             cluster.MakeLatencyObserver());
   cluster.AttachClientPool(1, &pool);
+  workload::AckedWriteLedger ledger(&pool);
   pool.Start();
   sim.RunUntil(3.0);
 
@@ -98,7 +100,7 @@ TEST_P(ChaosSweep, NeverADivergentAuthority) {
   }
 
   // Acked durability at whichever replica is authoritative.
-  for (const auto& [key, acked] : pool.acked_writes()) {
+  for (const auto& [key, acked] : ledger.writes()) {
     if (acked.deleted) continue;
     const storage::Record* row = serving->table().Get(key);
     ASSERT_NE(row, nullptr) << "lost acked key " << key;
@@ -173,6 +175,7 @@ TEST_P(CrashChaosSweep, SupervisorConvergesAcrossCrashes) {
   workload::ClientPool pool(&sim, &workload, &cluster,
                             cluster.MakeLatencyObserver());
   cluster.AttachClientPool(1, &pool);
+  workload::AckedWriteLedger ledger(&pool);
   pool.Start();
   sim.RunUntil(2.0);
 
@@ -217,7 +220,7 @@ TEST_P(CrashChaosSweep, SupervisorConvergesAcrossCrashes) {
   }
 
   // Acked durability survives every crash/restart/migration interleave.
-  for (const auto& [key, acked] : pool.acked_writes()) {
+  for (const auto& [key, acked] : ledger.writes()) {
     if (acked.deleted) continue;
     const storage::Record* row = serving->table().Get(key);
     ASSERT_NE(row, nullptr) << "lost acked key " << key;

@@ -10,6 +10,7 @@
 #include "src/slacker/cluster.h"
 #include "src/workload/client_pool.h"
 #include "src/workload/ycsb.h"
+#include "testing/acked_write_ledger.h"
 
 namespace slacker {
 namespace {
@@ -105,6 +106,7 @@ TEST(ConcurrentMigrationTest, UnderLoadNoAckLostAnywhere) {
   Rig rig;
   std::vector<std::unique_ptr<workload::YcsbWorkload>> workloads;
   std::vector<std::unique_ptr<workload::ClientPool>> pools;
+  std::vector<std::unique_ptr<workload::AckedWriteLedger>> ledgers;
   for (uint64_t id : {1, 2}) {
     ASSERT_TRUE(rig.cluster.AddTenant(0, SmallTenant(id)).ok());
     workload::YcsbConfig ycsb;
@@ -116,6 +118,8 @@ TEST(ConcurrentMigrationTest, UnderLoadNoAckLostAnywhere) {
         &rig.sim, workloads.back().get(), &rig.cluster,
         rig.cluster.MakeLatencyObserver()));
     rig.cluster.AttachClientPool(id, pools.back().get());
+    ledgers.push_back(
+        std::make_unique<workload::AckedWriteLedger>(pools.back().get()));
     pools.back()->Start();
   }
   rig.sim.RunUntil(5.0);
@@ -133,7 +137,7 @@ TEST(ConcurrentMigrationTest, UnderLoadNoAckLostAnywhere) {
     engine::TenantDb* moved =
         rig.cluster.TenantOn(rig.reports[id].target_server, id);
     ASSERT_NE(moved, nullptr);
-    for (const auto& [key, acked] : pools[id - 1]->acked_writes()) {
+    for (const auto& [key, acked] : ledgers[id - 1]->writes()) {
       if (acked.deleted) continue;
       const storage::Record* row = moved->table().Get(key);
       ASSERT_NE(row, nullptr) << "tenant " << id << " key " << key;

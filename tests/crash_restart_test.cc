@@ -10,6 +10,7 @@
 #include "src/slacker/cluster.h"
 #include "src/workload/client_pool.h"
 #include "src/workload/ycsb.h"
+#include "testing/acked_write_ledger.h"
 
 namespace slacker {
 namespace {
@@ -64,6 +65,7 @@ TEST(CrashRestartTest, AckedWritesSurviveRestartViaWalReplay) {
   workload::ClientPool pool(&sim, &workload, &cluster,
                             cluster.MakeLatencyObserver());
   cluster.AttachClientPool(1, &pool);
+  workload::AckedWriteLedger ledger(&pool);
   pool.Start();
   sim.RunUntil(5.0);
   pool.Stop();
@@ -85,7 +87,7 @@ TEST(CrashRestartTest, AckedWritesSurviveRestartViaWalReplay) {
   ASSERT_NE(recovered, nullptr);
   EXPECT_FALSE(recovered->frozen());
   EXPECT_EQ(recovered->StateDigest(), digest_at_crash);
-  for (const auto& [key, acked] : pool.acked_writes()) {
+  for (const auto& [key, acked] : ledger.writes()) {
     if (acked.deleted) continue;
     const storage::Record* row = recovered->table().Get(key);
     ASSERT_NE(row, nullptr) << "lost acked key " << key;

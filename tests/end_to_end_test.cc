@@ -13,6 +13,7 @@
 #include "src/slacker/cluster.h"
 #include "src/workload/client_pool.h"
 #include "src/workload/ycsb.h"
+#include "testing/acked_write_ledger.h"
 
 namespace slacker {
 namespace {
@@ -53,6 +54,7 @@ TEST_P(MigrationPropertyTest, InvariantsHold) {
   workload::ClientPool pool(&sim, &workload, &cluster,
                             cluster.MakeLatencyObserver());
   cluster.AttachClientPool(1, &pool);
+  workload::AckedWriteLedger ledger(&pool);
   pool.Start();
   sim.RunUntil(5.0);
 
@@ -91,7 +93,7 @@ TEST_P(MigrationPropertyTest, InvariantsHold) {
   // (c) No acknowledged write lost.
   engine::TenantDb* moved = cluster.TenantOn(1, 1);
   ASSERT_NE(moved, nullptr);
-  for (const auto& [key, acked] : pool.acked_writes()) {
+  for (const auto& [key, acked] : ledger.writes()) {
     if (acked.deleted) continue;
     const storage::Record* row = moved->table().Get(key);
     ASSERT_NE(row, nullptr) << "lost key " << key;

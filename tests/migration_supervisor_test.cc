@@ -11,6 +11,7 @@
 #include "src/slacker/migration_supervisor.h"
 #include "src/workload/client_pool.h"
 #include "src/workload/ycsb.h"
+#include "testing/acked_write_ledger.h"
 
 namespace slacker {
 namespace {
@@ -61,6 +62,7 @@ TEST(MigrationSupervisorTest, TargetCrashMidSnapshotResumesAndCompletes) {
   workload::ClientPool pool(&sim, &workload, &cluster,
                             cluster.MakeLatencyObserver());
   cluster.AttachClientPool(1, &pool);
+  workload::AckedWriteLedger ledger(&pool);
   pool.Start();
   sim.RunUntil(1.0);
 
@@ -99,7 +101,7 @@ TEST(MigrationSupervisorTest, TargetCrashMidSnapshotResumesAndCompletes) {
   engine::TenantDb* serving = cluster.Resolve(1);
   ASSERT_NE(serving, nullptr);
   EXPECT_FALSE(serving->frozen());
-  for (const auto& [key, acked] : pool.acked_writes()) {
+  for (const auto& [key, acked] : ledger.writes()) {
     if (acked.deleted) continue;
     const storage::Record* row = serving->table().Get(key);
     ASSERT_NE(row, nullptr) << "lost acked key " << key;

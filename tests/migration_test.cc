@@ -9,6 +9,7 @@
 #include "src/slacker/stop_and_copy.h"
 #include "src/workload/client_pool.h"
 #include "src/workload/ycsb.h"
+#include "testing/acked_write_ledger.h"
 
 namespace slacker {
 namespace {
@@ -107,6 +108,7 @@ TEST(MigrationTest, MigrationUnderLoadConvergesAndLosesNoAck) {
   workload::ClientPool pool(&rig.sim, &workload, &rig.cluster,
                             rig.cluster.MakeLatencyObserver());
   rig.cluster.AttachClientPool(1, &pool);
+  workload::AckedWriteLedger ledger(&pool);
   pool.Start();
   rig.sim.RunUntil(5.0);
 
@@ -126,8 +128,8 @@ TEST(MigrationTest, MigrationUnderLoadConvergesAndLosesNoAck) {
   // present (or superseded) at the target.
   engine::TenantDb* moved = rig.cluster.TenantOn(1, 1);
   ASSERT_NE(moved, nullptr);
-  ASSERT_FALSE(pool.acked_writes().empty());
-  for (const auto& [key, acked] : pool.acked_writes()) {
+  ASSERT_FALSE(ledger.writes().empty());
+  for (const auto& [key, acked] : ledger.writes()) {
     if (acked.deleted) continue;
     const storage::Record* row = moved->table().Get(key);
     ASSERT_NE(row, nullptr) << "lost acked write to key " << key;

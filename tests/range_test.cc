@@ -21,6 +21,7 @@
 #include "src/slacker/invariant_auditor.h"
 #include "src/workload/client_pool.h"
 #include "src/workload/ycsb.h"
+#include "testing/acked_write_ledger.h"
 
 namespace slacker {
 namespace {
@@ -361,6 +362,7 @@ TEST(RangeMigrationTest, UnderLoadLosesNoAckedWrite) {
                             rig.cluster.MakeLatencyObserver());
   pool.set_route_by_key(true);
   rig.cluster.AttachClientPool(1, &pool);
+  workload::AckedWriteLedger ledger(&pool);
   pool.Start();
   rig.sim.RunUntil(3.0);
 
@@ -381,9 +383,9 @@ TEST(RangeMigrationTest, UnderLoadLosesNoAckedWrite) {
 
   // Every acknowledged write is present (or superseded) on the range's
   // current owner.
-  ASSERT_FALSE(pool.acked_writes().empty());
+  ASSERT_FALSE(ledger.writes().empty());
   RangeDirectory* dir = rig.cluster.range_directory();
-  for (const auto& [key, acked] : pool.acked_writes()) {
+  for (const auto& [key, acked] : ledger.writes()) {
     if (acked.deleted) continue;
     engine::TenantDb* owner_db =
         rig.cluster.TenantOn(*dir->OwnerOf(1, key), 1);
@@ -803,6 +805,7 @@ TEST(RangeChurnPropertyTest, SplitMigrateMergeNeverLosesOrDoublesRows) {
                             rig.cluster.MakeLatencyObserver());
   pool.set_route_by_key(true);
   rig.cluster.AttachClientPool(1, &pool);
+  workload::AckedWriteLedger ledger(&pool);
   pool.Start();
 
   Rng rng(0xC0FFEE);
@@ -857,7 +860,7 @@ TEST(RangeChurnPropertyTest, SplitMigrateMergeNeverLosesOrDoublesRows) {
   // No loss: preloaded rows are all still there (the single-op YCSB
   // stream updates and reads; deletes are checked via acks below).
   // Every acknowledged write survives on the range's current owner.
-  for (const auto& [key, acked] : pool.acked_writes()) {
+  for (const auto& [key, acked] : ledger.writes()) {
     if (acked.deleted) continue;
     const Result<uint64_t> owner = dir->OwnerOf(1, key);
     ASSERT_TRUE(owner.ok());

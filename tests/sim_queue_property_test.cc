@@ -22,21 +22,21 @@ namespace {
 // *identical* decisions: events are referenced by issue index, never by
 // the (implementation-specific) EventId.
 struct NestedSpec {
-  double delta;  // Schedule at fire-time + delta from inside the callback.
-  int label;
+  double delta = 0.0;  // Schedule at fire-time + delta from the callback.
+  int label = 0;
 };
 
 struct ScheduleOp {
-  double delta;  // From the current virtual "now" (last executed time).
-  int label;
+  double delta = 0.0;  // From the current virtual "now" (last run time).
+  int label = 0;
   std::vector<NestedSpec> nested;
 };
 
 struct Op {
-  enum Kind { kSchedule, kCancel, kRunSome } kind;
-  ScheduleOp schedule;   // kSchedule
-  size_t cancel_index;   // kCancel: index into issued top-level events.
-  size_t run_count;      // kRunSome
+  enum Kind { kSchedule, kCancel, kRunSome } kind = kSchedule;
+  ScheduleOp schedule;       // kSchedule
+  size_t cancel_index = 0;   // kCancel: index into issued top-level events.
+  size_t run_count = 0;      // kRunSome
 };
 
 struct TraceEntry {

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <list>
+#include <unordered_map>
+
+#include "src/common/random.h"
 #include "src/common/units.h"
 #include "src/storage/buffer_pool.h"
 #include "src/storage/data_directory.h"
@@ -104,6 +108,144 @@ TEST(BufferPoolTest, ClearEmptiesPool) {
   EXPECT_EQ(pool.resident_pages(), 0u);
   EXPECT_EQ(pool.dirty_pages(), 0u);
   EXPECT_FALSE(pool.Contains(1));
+}
+
+// The list + hash-map LRU the flat pool replaced, kept as the reference
+// model: the flat pool must match it decision for decision.
+class ListMapPool {
+ public:
+  explicit ListMapPool(size_t capacity) : capacity_(capacity) {}
+
+  PageAccess Touch(uint64_t page_id, bool make_dirty) {
+    PageAccess result;
+    auto it = table_.find(page_id);
+    if (it != table_.end()) {
+      result.hit = true;
+      ++hits_;
+      lru_.splice(lru_.begin(), lru_, it->second);
+      if (make_dirty && !it->second->dirty) {
+        it->second->dirty = true;
+        ++dirty_count_;
+      }
+      return result;
+    }
+    ++misses_;
+    if (table_.size() >= capacity_ && !lru_.empty()) {
+      const Frame& victim = lru_.back();
+      if (victim.dirty) {
+        result.evicted_dirty = true;
+        result.evicted_page = victim.page_id;
+        --dirty_count_;
+      }
+      table_.erase(victim.page_id);
+      lru_.pop_back();
+    }
+    lru_.push_front(Frame{page_id, make_dirty});
+    table_[page_id] = lru_.begin();
+    if (make_dirty) ++dirty_count_;
+    return result;
+  }
+
+  bool Contains(uint64_t page_id) const { return table_.count(page_id) > 0; }
+  bool IsDirty(uint64_t page_id) const {
+    auto it = table_.find(page_id);
+    return it != table_.end() && it->second->dirty;
+  }
+  size_t FlushAll() {
+    size_t flushed = 0;
+    for (Frame& frame : lru_) {
+      if (frame.dirty) {
+        frame.dirty = false;
+        ++flushed;
+      }
+    }
+    dirty_count_ = 0;
+    return flushed;
+  }
+  void Clear() {
+    lru_.clear();
+    table_.clear();
+    dirty_count_ = 0;
+  }
+  void ResetStats() {
+    hits_ = 0;
+    misses_ = 0;
+  }
+  size_t resident_pages() const { return table_.size(); }
+  size_t dirty_pages() const { return dirty_count_; }
+  uint64_t hits() const { return hits_; }
+  uint64_t misses() const { return misses_; }
+
+ private:
+  struct Frame {
+    uint64_t page_id;
+    bool dirty;
+  };
+  size_t capacity_;
+  std::list<Frame> lru_;
+  std::unordered_map<uint64_t, std::list<Frame>::iterator> table_;
+  size_t dirty_count_ = 0;
+  uint64_t hits_ = 0;
+  uint64_t misses_ = 0;
+};
+
+// Engine-shaped page ids: (tenant << 40) | page, three tenants.
+uint64_t UniversePage(uint64_t i) { return ((i % 3 + 1) << 40) | (i / 3); }
+
+TEST(BufferPoolTest, MatchesListMapReferenceOnRandomSequences) {
+  for (size_t capacity : {0, 1, 2, 7, 64, 1024}) {
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE(testing::Message()
+                   << "capacity " << capacity << " seed " << seed);
+      BufferPool pool(BufferPoolOptions{capacity});
+      ListMapPool model(capacity);
+      Rng rng(seed * 7919 + capacity);
+      // Half the touches fall in a hot set smaller than the pool (hits
+      // and recency reordering), half over three times the pool
+      // (misses and evictions).
+      const uint64_t hot = capacity / 2 + 1;
+      const uint64_t universe = 3 * capacity + 8;
+      auto same_page_state = [&](uint64_t page) {
+        ASSERT_EQ(pool.Contains(page), model.Contains(page)) << page;
+        ASSERT_EQ(pool.IsDirty(page), model.IsDirty(page)) << page;
+      };
+      for (int step = 0; step < 6000; ++step) {
+        const uint64_t roll = rng.NextBelow(1000);
+        if (roll < 12) {
+          ASSERT_EQ(pool.FlushAll(), model.FlushAll());
+        } else if (roll < 14) {
+          pool.Clear();
+          model.Clear();
+        } else if (roll < 20) {
+          pool.ResetStats();
+          model.ResetStats();
+        } else {
+          const uint64_t page = UniversePage(
+              rng.NextBelow(rng.NextBelow(2) == 0 ? hot : universe));
+          const bool dirty = rng.NextBelow(10) < 3;
+          const PageAccess got = pool.Touch(page, dirty);
+          const PageAccess want = model.Touch(page, dirty);
+          ASSERT_EQ(got.hit, want.hit) << "step " << step;
+          ASSERT_EQ(got.evicted_dirty, want.evicted_dirty) << "step " << step;
+          ASSERT_EQ(got.evicted_page, want.evicted_page) << "step " << step;
+          same_page_state(page);
+          if (want.evicted_dirty) same_page_state(want.evicted_page);
+        }
+        ASSERT_EQ(pool.resident_pages(), model.resident_pages());
+        ASSERT_EQ(pool.dirty_pages(), model.dirty_pages());
+        ASSERT_EQ(pool.hits(), model.hits());
+        ASSERT_EQ(pool.misses(), model.misses());
+        same_page_state(UniversePage(rng.NextBelow(universe)));
+        // Every few steps, every page in the universe.
+        if (step % 8 == 0) {
+          for (uint64_t i = 0; i < universe; ++i) {
+            same_page_state(UniversePage(i));
+          }
+        }
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------- Tablespace

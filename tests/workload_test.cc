@@ -15,6 +15,7 @@
 #include "src/workload/key_chooser.h"
 #include "src/workload/trace.h"
 #include "src/workload/ycsb.h"
+#include "testing/acked_write_ledger.h"
 
 namespace slacker::workload {
 namespace {
@@ -342,12 +343,13 @@ TEST(ClientPoolTest, AckedWritesTrackNewestLsn) {
   config.record_count = 8;  // Few keys: lots of overwrite.
   YcsbWorkload workload(config, 1, 5);
   ClientPool pool(&rig.sim, &workload, &rig);
+  AckedWriteLedger ledger(&pool);
   pool.Start();
   rig.sim.RunUntil(10.0);
   pool.Stop();
   rig.sim.RunUntil(20.0);
-  ASSERT_FALSE(pool.acked_writes().empty());
-  for (const auto& [key, acked] : pool.acked_writes()) {
+  ASSERT_FALSE(ledger.writes().empty());
+  for (const auto& [key, acked] : ledger.writes()) {
     const storage::Record* row = rig.db.table().Get(key);
     ASSERT_NE(row, nullptr);
     EXPECT_GE(row->lsn, acked.lsn);
@@ -355,6 +357,35 @@ TEST(ClientPoolTest, AckedWritesTrackNewestLsn) {
       EXPECT_EQ(row->digest, acked.digest);
     }
   }
+}
+
+TEST(AckedWriteLedgerTest, HighestLsnWinsAndDeletesAreKept) {
+  AckedWriteLedger ledger;
+  engine::TxnResult first;
+  first.writes = {{/*key=*/1, /*lsn=*/20, /*digest=*/200, false},
+                  {/*key=*/2, /*lsn=*/5, /*digest=*/50, false}};
+  ledger.Record(first);
+  // Acks can arrive out of LSN order: an older write to key 1 must not
+  // replace the newer one, while key 2's newer delete must.
+  engine::TxnResult second;
+  second.writes = {{/*key=*/1, /*lsn=*/10, /*digest=*/100, false},
+                   {/*key=*/2, /*lsn=*/30, /*digest=*/0, true},
+                   {/*key=*/3, /*lsn=*/7, /*digest=*/70, false}};
+  ledger.Record(second);
+  // An older write after the delete leaves the delete in place.
+  engine::TxnResult third;
+  third.writes = {{/*key=*/2, /*lsn=*/25, /*digest=*/250, false}};
+  ledger.Record(third);
+
+  const auto& writes = ledger.writes();
+  ASSERT_EQ(writes.size(), 3u);
+  EXPECT_EQ(writes.at(1).lsn, 20u);
+  EXPECT_EQ(writes.at(1).digest, 200u);
+  EXPECT_FALSE(writes.at(1).deleted);
+  EXPECT_EQ(writes.at(2).lsn, 30u);
+  EXPECT_TRUE(writes.at(2).deleted);
+  EXPECT_EQ(writes.at(3).lsn, 7u);
+  EXPECT_EQ(writes.at(3).digest, 70u);
 }
 
 }  // namespace
