@@ -91,14 +91,20 @@ std::vector<storage::Record> RowImagesFromLog(
 codec::EncodedChunk EncodeRound(const DeltaRound& round,
                                 codec::Codec requested,
                                 const codec::CodecConfig& config) {
+  // Delta rounds have no retransmission base; anything but LZ ships
+  // raw, and a raw frame needs no row images.
+  if (requested != codec::Codec::kLz) {
+    codec::EncodedChunk raw;
+    raw.frame.codec = codec::Codec::kRaw;
+    raw.frame.logical_bytes = round.bytes;
+    raw.frame.encoded_bytes = round.bytes;
+    return raw;
+  }
   const std::vector<storage::Record> rows = RowImagesFromLog(round.records);
   const uint64_t per_image =
       rows.empty() ? 0 : round.bytes / static_cast<uint64_t>(rows.size());
-  // Delta rounds have no retransmission base; anything but LZ ships raw.
-  const codec::Codec effective =
-      requested == codec::Codec::kLz ? codec::Codec::kLz : codec::Codec::kRaw;
-  return codec::EncodeSnapshotChunk(rows, round.bytes, effective, config,
-                                    per_image, nullptr);
+  return codec::EncodeSnapshotChunk(rows, round.bytes, codec::Codec::kLz,
+                                    config, per_image, nullptr);
 }
 
 }  // namespace slacker::backup

@@ -86,7 +86,10 @@ std::vector<storage::Record> RowImagesFromLog(
 /// Encodes one delta round as a codec frame (kLz or kRaw; log rounds
 /// never delta-encode — there is no base). Per-image payload size is
 /// the round's average record footprint, so the materialized payload
-/// tracks round.bytes.
+/// tracks round.bytes. The round ships its log records, so only the
+/// result's `frame` and `cpu_seconds` matter; a non-LZ request returns
+/// the raw frame (logical = encoded = round.bytes) without building any
+/// row image.
 codec::EncodedChunk EncodeRound(const DeltaRound& round,
                                 codec::Codec requested,
                                 const codec::CodecConfig& config);

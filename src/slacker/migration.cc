@@ -152,9 +152,6 @@ Status MigrationJob::Start() {
   // monopolize the spindle for ~100 ms and spike query latency).
   bucket_options.burst_bytes = options_.backup.chunk_bytes;
   throttle_ = std::make_unique<resource::TokenBucket>(sim_, bucket_options);
-  if (options_.codec.mode != codec::CodecMode::kRaw) {
-    selector_ = std::make_unique<codec::CodecSelector>(options_.codec);
-  }
 
   report_.start_time = sim_->Now();
   phase_start_ = sim_->Now();
@@ -524,18 +521,15 @@ void MigrationJob::NegotiateCapabilities(const net::Message& message) {
                    << " (source v" << source_version << ", target v"
                    << target_version << ")";
   options_.codec.mode = negotiated;
-  // The selector was built for the requested mode in Start(); rebuild
-  // it for the common feature set (or drop it entirely on a raw
-  // fallback, which reverts to the byte-identical raw pump).
-  if (negotiated == codec::CodecMode::kRaw) {
-    selector_.reset();
-  } else {
-    selector_ = std::make_unique<codec::CodecSelector>(options_.codec);
-  }
 }
 
 void MigrationJob::BeginSnapshot() {
   EnterPhase(MigrationPhase::kSnapshot);
+  // Built from the negotiated mode; without a selector every chunk and
+  // round ships raw.
+  if (options_.codec.mode != codec::CodecMode::kRaw) {
+    selector_ = std::make_unique<codec::CodecSelector>(options_.codec);
+  }
   // The job scans and ships only its unit; the delta filter keeps
   // other ranges' writes out of the stream (their jobs own them).
   snapshot_ = std::make_unique<backup::HotBackupStream>(
@@ -571,62 +565,71 @@ void MigrationJob::BeginSnapshot() {
 
 void MigrationJob::PumpSnapshot() {
   if (finished_ || phase_ != MigrationPhase::kSnapshot) return;
-  if (options_.codec.mode != codec::CodecMode::kRaw) {
-    PumpSnapshotEncoded();
-    return;
-  }
-  if (snapshot_->Done()) {
+  if (snapshot_->Done() && !pending_chunk_.has_value()) {
     OnSnapshotDrained();
     return;
   }
   if (acquiring_ || inflight_chunks_ >= options_.max_inflight_chunks) return;
+  // The throttle meters wire bytes. A raw chunk's wire size is the
+  // nominal chunk, known before the read, so raw pays first and reads
+  // inside the grant. A coded chunk's wire size exists only after the
+  // codec has run, so it is read and encoded first.
+  uint64_t tokens = options_.backup.chunk_bytes;
+  if (selector_ != nullptr) {
+    if (!pending_chunk_.has_value()) ProducePendingChunk();
+    tokens = std::max<uint64_t>(pending_chunk_->enc.frame.encoded_bytes, 1);
+  }
   acquiring_ = true;
-  throttle_->Acquire(options_.backup.chunk_bytes,
-                     [this, alive = std::weak_ptr<bool>(alive_)] {
+  throttle_->Acquire(tokens, [this, alive = std::weak_ptr<bool>(alive_)] {
     if (alive.expired()) return;
     acquiring_ = false;
     if (finished_ || phase_ != MigrationPhase::kSnapshot) return;
-    if (snapshot_->Done()) {
-      OnSnapshotDrained();
+    if (selector_ == nullptr && !snapshot_->Done()) ProducePendingChunk();
+    if (!pending_chunk_.has_value()) {
+      // Drained (raw), or a NACK rewound the stream while the tokens
+      // were in flight (coded): the grant is sunk and the pump restarts
+      // from the cursor.
+      PumpSnapshot();
       return;
     }
-    backup::HotBackupStream::Chunk chunk = snapshot_->NextChunk();
+    PendingChunk pending = std::move(*pending_chunk_);
+    pending_chunk_.reset();
     ++inflight_chunks_;
-    report_.snapshot_bytes += chunk.logical_bytes;
-    report_.snapshot_wire_bytes += chunk.logical_bytes;
-    ++report_.chunks_raw;
-    const uint64_t read_bytes = std::max<uint64_t>(chunk.logical_bytes, 1);
-    source_db_->ChargeSequentialRead(
-        read_bytes, kMigrationStreamId,
-        [this, alive = std::weak_ptr<bool>(alive_),
-         chunk = std::move(chunk)]() mutable {
-          if (alive.expired()) return;
-          net::Message msg;
-          msg.type = net::MessageType::kSnapshotChunk;
-          msg.tenant_id = tenant_id_;
-          msg.chunk_seq = chunk.seq;
-          msg.payload_bytes = chunk.logical_bytes;
-          msg.chunk_crc = backup::ChunkCrc(chunk.rows);
-          msg.rows = std::move(chunk.rows);
-          ctx_->SendMessage(source_server_, target_server_, msg);
-          if (auditor_ != nullptr) {
-            auditor_->OnChunkSent(tenant_id_, msg.payload_bytes,
-                                  msg.payload_bytes);
-          }
-          if (tracer_ != nullptr) {
-            if (snapshot_bytes_counter_ != nullptr) {
-              snapshot_bytes_counter_->Add(msg.payload_bytes);
-            }
-            if (chunks_sent_counter_ != nullptr) chunks_sent_counter_->Add();
-            obs::SnapshotChunkSent sent;
-            sent.tenant_id = tenant_id_;
-            sent.seq = msg.chunk_seq;
-            sent.bytes = msg.payload_bytes;
-            obs::EmitSnapshotChunkSent(tracer_, sent);
-          }
-          --inflight_chunks_;
-          PumpSnapshot();
-        });
+    CountFrame(pending.enc, &report_.snapshot_bytes,
+               &report_.snapshot_wire_bytes);
+    const uint64_t logical = pending.enc.frame.logical_bytes;
+    const double encode_seconds = pending.enc.cpu_seconds;
+    auto send = [this, pending = std::move(pending)]() mutable {
+      net::Message msg;
+      msg.type = net::MessageType::kSnapshotChunk;
+      msg.tenant_id = tenant_id_;
+      msg.chunk_seq = pending.seq;
+      msg.payload_bytes = pending.enc.frame.logical_bytes;
+      msg.chunk_crc = pending.chunk_crc;
+      msg.frame = pending.enc.frame;
+      msg.rows = std::move(pending.enc.rows);
+      msg.removed_keys = std::move(pending.enc.removed_keys);
+      ctx_->SendMessage(source_server_, target_server_, msg);
+      if (auditor_ != nullptr) {
+        auditor_->OnChunkSent(tenant_id_, msg.payload_bytes,
+                              msg.wire_payload_bytes());
+      }
+      if (tracer_ != nullptr) {
+        if (snapshot_bytes_counter_ != nullptr) {
+          snapshot_bytes_counter_->Add(msg.payload_bytes);
+        }
+        if (chunks_sent_counter_ != nullptr) chunks_sent_counter_->Add();
+        obs::SnapshotChunkSent sent;
+        sent.tenant_id = tenant_id_;
+        sent.seq = msg.chunk_seq;
+        sent.bytes = msg.payload_bytes;
+        obs::EmitSnapshotChunkSent(tracer_, sent);
+        TraceEncoded(msg.chunk_seq, pending.enc);
+      }
+      --inflight_chunks_;
+      PumpSnapshot();
+    };
+    ShipAfterRead(logical, encode_seconds, std::move(send));
     // Keep acquiring tokens for the next chunk while this one is being
     // read — the throttle, not the read completion, paces the stream.
     PumpSnapshot();
@@ -635,25 +638,24 @@ void MigrationJob::PumpSnapshot() {
 
 void MigrationJob::ProducePendingChunk() {
   backup::HotBackupStream::Chunk chunk = snapshot_->NextChunk();
-  codec::SelectorInputs inputs;
-  inputs.throttle_bytes_per_sec = throttle_->rate();
-  if (resource::CpuModel* cpu = ctx_->CpuOn(source_server_)) {
-    inputs.total_cores = cpu->cores();
-    inputs.busy_cores = cpu->busy_cores();
-  }
-  const auto base_it = chunk_cache_.find(chunk.seq);
-  inputs.has_delta_base = base_it != chunk_cache_.end() &&
-                          delta_blocked_.count(chunk.seq) == 0;
-  inputs.logical_bytes = chunk.logical_bytes;
-  const codec::Codec choice = selector_->Choose(inputs);
-  const std::vector<storage::Record>* base_rows =
-      inputs.has_delta_base ? &base_it->second.rows : nullptr;
   PendingChunk pending;
   pending.seq = chunk.seq;
   pending.chunk_crc = backup::ChunkCrc(chunk.rows);
-  pending.enc =
-      backup::EncodeChunk(chunk, choice, options_.codec,
-                          source_db_->config().layout.record_bytes, base_rows);
+  if (selector_ == nullptr) {
+    // Raw: the rows go out as read, with no copy and no delta base.
+    pending.enc.frame.logical_bytes = chunk.logical_bytes;
+    pending.enc.frame.encoded_bytes = chunk.logical_bytes;
+    pending.enc.rows = std::move(chunk.rows);
+    pending_chunk_ = std::move(pending);
+    return;
+  }
+  const auto base_it = chunk_cache_.find(chunk.seq);
+  const bool has_base = base_it != chunk_cache_.end() &&
+                        delta_blocked_.count(chunk.seq) == 0;
+  pending.enc = backup::EncodeChunk(
+      chunk, ChooseCodec(chunk.logical_bytes, has_base), options_.codec,
+      source_db_->config().layout.record_bytes,
+      has_base ? &base_it->second.rows : nullptr);
   // Remember this transmission as the delta base for a go-back-N
   // resend: the target stages the same rows when the chunk arrives
   // intact but out of order.
@@ -668,118 +670,86 @@ void MigrationJob::ProducePendingChunk() {
   pending_chunk_ = std::move(pending);
 }
 
-void MigrationJob::PumpSnapshotEncoded() {
-  if (finished_ || phase_ != MigrationPhase::kSnapshot) return;
-  if (snapshot_->Done() && !pending_chunk_.has_value()) {
-    OnSnapshotDrained();
-    return;
+codec::Codec MigrationJob::ChooseCodec(uint64_t logical_bytes,
+                                       bool has_delta_base) const {
+  if (selector_ == nullptr) return codec::Codec::kRaw;
+  codec::SelectorInputs inputs;
+  inputs.throttle_bytes_per_sec = throttle_->rate();
+  if (resource::CpuModel* cpu = ctx_->CpuOn(source_server_)) {
+    inputs.total_cores = cpu->cores();
+    inputs.busy_cores = cpu->busy_cores();
   }
-  if (acquiring_ || inflight_chunks_ >= options_.max_inflight_chunks) return;
-  // Encode before acquiring tokens: the throttle meters *wire* bytes,
-  // and the wire size is only known after the codec has run.
-  if (!pending_chunk_.has_value()) ProducePendingChunk();
-  const uint64_t wire_bytes =
-      std::max<uint64_t>(pending_chunk_->enc.frame.encoded_bytes, 1);
-  acquiring_ = true;
-  throttle_->Acquire(wire_bytes, [this, alive = std::weak_ptr<bool>(alive_)] {
-    if (alive.expired()) return;
-    acquiring_ = false;
-    if (finished_ || phase_ != MigrationPhase::kSnapshot) return;
-    if (!pending_chunk_.has_value()) {
-      // A NACK rewound the stream while the tokens were in flight; the
-      // grant is sunk but the pump restarts from the rewound cursor.
-      PumpSnapshot();
-      return;
-    }
-    PendingChunk pending = std::move(*pending_chunk_);
-    pending_chunk_.reset();
-    ++inflight_chunks_;
-    const uint64_t logical = pending.enc.frame.logical_bytes;
-    const uint64_t wire = pending.enc.frame.encoded_bytes;
-    report_.snapshot_bytes += logical;
-    report_.snapshot_wire_bytes += wire;
-    report_.codec_cpu_seconds += pending.enc.cpu_seconds;
-    switch (pending.enc.frame.codec) {
-      case codec::Codec::kRaw:
-        ++report_.chunks_raw;
-        break;
-      case codec::Codec::kLz:
-        ++report_.chunks_lz;
-        selector_->ObserveRatio(static_cast<double>(logical) /
-                                static_cast<double>(std::max<uint64_t>(wire, 1)));
-        break;
-      case codec::Codec::kDelta:
-        ++report_.chunks_delta;
-        break;
-    }
-    const uint64_t read_bytes = std::max<uint64_t>(logical, 1);
-    source_db_->ChargeSequentialRead(
-        read_bytes, kMigrationStreamId,
-        [this, alive, pending = std::move(pending)]() mutable {
-          if (alive.expired()) return;
-          auto send = [this, pending = std::move(pending)]() mutable {
-            net::Message msg;
-            msg.type = net::MessageType::kSnapshotChunk;
-            msg.tenant_id = tenant_id_;
-            msg.chunk_seq = pending.seq;
-            msg.payload_bytes = pending.enc.frame.logical_bytes;
-            msg.chunk_crc = pending.chunk_crc;
-            msg.frame = pending.enc.frame;
-            msg.rows = std::move(pending.enc.rows);
-            msg.removed_keys = std::move(pending.enc.removed_keys);
-            ctx_->SendMessage(source_server_, target_server_, msg);
-            if (auditor_ != nullptr) {
-              auditor_->OnChunkSent(tenant_id_, msg.payload_bytes,
-                                    msg.wire_payload_bytes());
-            }
-            if (tracer_ != nullptr) {
-              if (snapshot_bytes_counter_ != nullptr) {
-                snapshot_bytes_counter_->Add(msg.payload_bytes);
-              }
-              if (chunks_sent_counter_ != nullptr) chunks_sent_counter_->Add();
-              obs::SnapshotChunkSent sent;
-              sent.tenant_id = tenant_id_;
-              sent.seq = msg.chunk_seq;
-              sent.bytes = msg.payload_bytes;
-              obs::EmitSnapshotChunkSent(tracer_, sent);
-              obs::CodecChunkEncoded encoded;
-              encoded.tenant_id = tenant_id_;
-              encoded.seq = msg.chunk_seq;
-              encoded.codec = codec::CodecName(msg.frame.codec);
-              encoded.logical_bytes = msg.payload_bytes;
-              encoded.wire_bytes = msg.wire_payload_bytes();
-              encoded.cpu_ms = pending.enc.cpu_seconds * 1e3;
-              obs::EmitCodecChunkEncoded(tracer_, encoded);
-              if (codec_logical_bytes_counter_ != nullptr) {
-                codec_logical_bytes_counter_->Add(msg.payload_bytes);
-              }
-              if (codec_wire_bytes_counter_ != nullptr) {
-                codec_wire_bytes_counter_->Add(msg.wire_payload_bytes());
-              }
-              if (codec_cpu_ms_counter_ != nullptr) {
-                codec_cpu_ms_counter_->Add(pending.enc.cpu_seconds * 1e3);
-              }
-              if (codec_ratio_gauge_ != nullptr) {
-                codec_ratio_gauge_->Set(report_.CompressionRatio());
-              }
-            }
-            --inflight_chunks_;
-            PumpSnapshot();
-          };
-          const double encode_cost = pending.enc.cpu_seconds;
-          if (encode_cost > 0.0) {
-            // Compression burns source cores; the chunk leaves only
-            // after the encode job finishes.
-            source_db_->ChargeCpu(encode_cost,
-                                  [alive, send = std::move(send)]() mutable {
-                                    if (!alive.expired()) send();
-                                  });
-          } else {
-            send();
-          }
-        });
-    PumpSnapshot();
-  });
+  inputs.has_delta_base = has_delta_base;
+  inputs.logical_bytes = logical_bytes;
+  return selector_->Choose(inputs);
+}
+
+void MigrationJob::CountFrame(const codec::EncodedChunk& enc,
+                              uint64_t* logical_bytes, uint64_t* wire_bytes) {
+  const uint64_t logical = enc.frame.logical_bytes;
+  const uint64_t wire = enc.frame.encoded_bytes;
+  *logical_bytes += logical;
+  *wire_bytes += wire;
+  report_.codec_cpu_seconds += enc.cpu_seconds;
+  switch (enc.frame.codec) {
+    case codec::Codec::kRaw:
+      ++report_.chunks_raw;
+      break;
+    case codec::Codec::kLz:
+      ++report_.chunks_lz;
+      selector_->ObserveRatio(static_cast<double>(logical) /
+                              static_cast<double>(std::max<uint64_t>(wire, 1)));
+      break;
+    case codec::Codec::kDelta:
+      ++report_.chunks_delta;
+      break;
+  }
+}
+
+void MigrationJob::TraceEncoded(uint64_t seq, const codec::EncodedChunk& enc) {
+  // Raw jobs record no codec rows: the golden raw traces and CSVs pin
+  // their absence.
+  if (selector_ == nullptr) return;
+  obs::CodecChunkEncoded encoded;
+  encoded.tenant_id = tenant_id_;
+  encoded.seq = seq;
+  encoded.codec = codec::CodecName(enc.frame.codec);
+  encoded.logical_bytes = enc.frame.logical_bytes;
+  encoded.wire_bytes = enc.frame.encoded_bytes;
+  encoded.cpu_ms = enc.cpu_seconds * 1e3;
+  obs::EmitCodecChunkEncoded(tracer_, encoded);
+  if (codec_logical_bytes_counter_ != nullptr) {
+    codec_logical_bytes_counter_->Add(enc.frame.logical_bytes);
+  }
+  if (codec_wire_bytes_counter_ != nullptr) {
+    codec_wire_bytes_counter_->Add(enc.frame.encoded_bytes);
+  }
+  if (codec_cpu_ms_counter_ != nullptr) {
+    codec_cpu_ms_counter_->Add(enc.cpu_seconds * 1e3);
+  }
+  if (codec_ratio_gauge_ != nullptr) {
+    codec_ratio_gauge_->Set(report_.CompressionRatio());
+  }
+}
+
+void MigrationJob::ShipAfterRead(uint64_t logical_bytes, double encode_seconds,
+                                 std::function<void()> send) {
+  source_db_->ChargeSequentialRead(
+      std::max<uint64_t>(logical_bytes, 1), kMigrationStreamId,
+      [this, alive = std::weak_ptr<bool>(alive_), encode_seconds,
+       send = std::move(send)]() mutable {
+        if (alive.expired()) return;
+        if (encode_seconds <= 0.0) {
+          send();
+          return;
+        }
+        // Compression burns source cores; the frame leaves only after
+        // the encode job finishes.
+        source_db_->ChargeCpu(encode_seconds,
+                              [alive, send = std::move(send)]() mutable {
+                                if (!alive.expired()) send();
+                              });
+      });
 }
 
 void MigrationJob::OnSnapshotDrained() {
@@ -819,13 +789,13 @@ void MigrationJob::OnSnapshotNack(const net::Message& message) {
     obs::EmitSnapshotNack(tracer_, nack);
   }
   // Go-back-N: rewind the cursor to the gap and restream from there.
-  if (options_.codec.mode != codec::CodecMode::kRaw) {
-    // The NACKed seq is exactly the chunk the target holds no staged
-    // base for (later chunks were staged when they arrived intact), so
-    // only this seq must resend raw; the rest may ship as deltas.
-    delta_blocked_.insert(message.chunk_seq);
-    pending_chunk_.reset();
-  }
+  // The NACKed seq is exactly the chunk the target holds no staged base
+  // for (later chunks were staged when they arrived intact), so only
+  // this seq must resend raw; the rest may ship as deltas. Both are
+  // inert in a raw job, which caches no bases and holds no chunk
+  // between grants.
+  delta_blocked_.insert(message.chunk_seq);
+  pending_chunk_.reset();
   snapshot_->RewindTo(message.chunk_seq);
   snapshot_sent_end_ = false;
   PumpSnapshot();
@@ -854,107 +824,64 @@ void MigrationJob::BeginDeltaRounds() {
 
 void MigrationJob::ShipNextDelta() {
   if (finished_ || phase_ != MigrationPhase::kDelta) return;
-  if (options_.codec.mode != codec::CodecMode::kRaw) {
-    ShipNextDeltaEncoded();
-    return;
-  }
   const uint64_t pending = shipper_->PendingBytes();
   if (pending <= options_.delta_handover_bytes ||
       shipper_->rounds_shipped() >= options_.max_delta_rounds) {
     BeginHandover();
     return;
   }
-  throttle_->Acquire(pending, [this, alive = std::weak_ptr<bool>(alive_)] {
+  // Same token rule as the snapshot: raw pays the pending bytes and
+  // reads inside the grant (writes landing during the wait join this
+  // round); coded reads and encodes first and pays the wire size
+  // (those writes roll into the next round).
+  std::optional<EncodedRound> next;
+  uint64_t tokens = pending;
+  if (selector_ != nullptr) {
+    next = ReadDeltaRound();
+    if (!next.has_value()) return;
+    tokens = std::max<uint64_t>(next->enc.frame.encoded_bytes, 1);
+  }
+  throttle_->Acquire(tokens, [this, alive = std::weak_ptr<bool>(alive_),
+                              next = std::move(next)]() mutable {
     if (alive.expired()) return;
     if (finished_ || phase_ != MigrationPhase::kDelta) return;
-    Result<backup::DeltaRound> round = shipper_->ReadRound();
-    if (!round.ok()) {
-      Finish(round.status());
-      return;
+    if (!next.has_value()) {
+      next = ReadDeltaRound();
+      if (!next.has_value()) return;
     }
-    if (round->empty()) {
-      BeginHandover();
-      return;
-    }
-    report_.delta_bytes += round->bytes;
-    report_.delta_wire_bytes += round->bytes;
-    ++report_.chunks_raw;
-    ++report_.delta_rounds;
-    if (tracer_ != nullptr) {
-      if (delta_bytes_counter_ != nullptr) {
-        delta_bytes_counter_->Add(round->bytes);
-      }
-      obs::DeltaRoundShipped shipped;
-      shipped.tenant_id = tenant_id_;
-      shipped.round = report_.delta_rounds;
-      shipped.bytes = round->bytes;
-      shipped.remaining_bytes = shipper_->PendingBytes();
-      obs::EmitDeltaRoundShipped(tracer_, shipped);
-      delta_round_span_ = obs::TraceSpan(
-          tracer_, track_,
-          "delta round " + std::to_string(report_.delta_rounds), "delta");
-      delta_round_span_.AddArg("bytes", static_cast<double>(round->bytes));
-      delta_round_span_.AddArg("remaining_bytes",
-                               static_cast<double>(shipper_->PendingBytes()));
-    }
-    const uint64_t read_bytes = std::max<uint64_t>(round->bytes, 1);
-    source_db_->ChargeSequentialRead(
-        read_bytes, kMigrationStreamId,
-        [this, alive = std::weak_ptr<bool>(alive_),
-         round = std::move(*round)]() mutable {
-          if (alive.expired()) return;
-          net::Message msg;
-          msg.type = net::MessageType::kDeltaBatch;
-          msg.tenant_id = tenant_id_;
-          msg.lsn = round.to;
-          msg.payload_bytes = round.bytes;
-          msg.log_records = std::move(round.records);
-          ctx_->SendMessage(source_server_, target_server_, msg);
-        });
+    const uint64_t logical = next->round.bytes;
+    const double encode_seconds = next->enc.cpu_seconds;
+    auto send = [this, next = std::move(*next)]() mutable {
+      net::Message msg;
+      msg.type = net::MessageType::kDeltaBatch;
+      msg.tenant_id = tenant_id_;
+      msg.lsn = next.round.to;
+      msg.payload_bytes = next.round.bytes;
+      msg.frame = next.enc.frame;
+      msg.log_records = std::move(next.round.records);
+      ctx_->SendMessage(source_server_, target_server_, msg);
+    };
+    ShipAfterRead(logical, encode_seconds, std::move(send));
   });
 }
 
-void MigrationJob::ShipNextDeltaEncoded() {
-  if (finished_ || phase_ != MigrationPhase::kDelta) return;
-  const uint64_t pending = shipper_->PendingBytes();
-  if (pending <= options_.delta_handover_bytes ||
-      shipper_->rounds_shipped() >= options_.max_delta_rounds) {
+std::optional<MigrationJob::EncodedRound> MigrationJob::ReadDeltaRound() {
+  Result<backup::DeltaRound> read = shipper_->ReadRound();
+  if (!read.ok()) {
+    Finish(read.status());
+    return std::nullopt;
+  }
+  if (read->empty()) {
     BeginHandover();
-    return;
+    return std::nullopt;
   }
-  // Unlike the raw path, the round is read *before* token acquisition:
-  // the throttle meters wire bytes, which only exist post-encode.
-  // Writes that land during the token wait roll into the next round.
-  Result<backup::DeltaRound> round_result = shipper_->ReadRound();
-  if (!round_result.ok()) {
-    Finish(round_result.status());
-    return;
-  }
-  if (round_result->empty()) {
-    BeginHandover();
-    return;
-  }
-  backup::DeltaRound round = std::move(*round_result);
-  codec::SelectorInputs inputs;
-  inputs.throttle_bytes_per_sec = throttle_->rate();
-  if (resource::CpuModel* cpu = ctx_->CpuOn(source_server_)) {
-    inputs.total_cores = cpu->cores();
-    inputs.busy_cores = cpu->busy_cores();
-  }
-  inputs.logical_bytes = round.bytes;
-  codec::EncodedChunk enc =
-      backup::EncodeRound(round, selector_->Choose(inputs), options_.codec);
-  report_.delta_bytes += round.bytes;
-  report_.delta_wire_bytes += enc.frame.encoded_bytes;
-  report_.codec_cpu_seconds += enc.cpu_seconds;
-  if (enc.frame.codec == codec::Codec::kLz) {
-    ++report_.chunks_lz;
-    selector_->ObserveRatio(
-        static_cast<double>(round.bytes) /
-        static_cast<double>(std::max<uint64_t>(enc.frame.encoded_bytes, 1)));
-  } else {
-    ++report_.chunks_raw;
-  }
+  EncodedRound out;
+  out.round = std::move(*read);
+  const backup::DeltaRound& round = out.round;
+  out.enc = backup::EncodeRound(
+      round, ChooseCodec(round.bytes, /*has_delta_base=*/false),
+      options_.codec);
+  CountFrame(out.enc, &report_.delta_bytes, &report_.delta_wire_bytes);
   ++report_.delta_rounds;
   if (tracer_ != nullptr) {
     if (delta_bytes_counter_ != nullptr) {
@@ -972,59 +899,9 @@ void MigrationJob::ShipNextDeltaEncoded() {
     delta_round_span_.AddArg("bytes", static_cast<double>(round.bytes));
     delta_round_span_.AddArg("remaining_bytes",
                              static_cast<double>(shipper_->PendingBytes()));
-    obs::CodecChunkEncoded encoded;
-    encoded.tenant_id = tenant_id_;
-    encoded.seq = static_cast<uint64_t>(report_.delta_rounds);
-    encoded.codec = codec::CodecName(enc.frame.codec);
-    encoded.logical_bytes = round.bytes;
-    encoded.wire_bytes = enc.frame.encoded_bytes;
-    encoded.cpu_ms = enc.cpu_seconds * 1e3;
-    obs::EmitCodecChunkEncoded(tracer_, encoded);
-    if (codec_logical_bytes_counter_ != nullptr) {
-      codec_logical_bytes_counter_->Add(round.bytes);
-    }
-    if (codec_wire_bytes_counter_ != nullptr) {
-      codec_wire_bytes_counter_->Add(enc.frame.encoded_bytes);
-    }
-    if (codec_cpu_ms_counter_ != nullptr) {
-      codec_cpu_ms_counter_->Add(enc.cpu_seconds * 1e3);
-    }
-    if (codec_ratio_gauge_ != nullptr) {
-      codec_ratio_gauge_->Set(report_.CompressionRatio());
-    }
+    TraceEncoded(static_cast<uint64_t>(report_.delta_rounds), out.enc);
   }
-  const uint64_t wire_bytes = std::max<uint64_t>(enc.frame.encoded_bytes, 1);
-  throttle_->Acquire(
-      wire_bytes, [this, alive = std::weak_ptr<bool>(alive_),
-                   round = std::move(round), frame = enc.frame,
-                   cost = enc.cpu_seconds]() mutable {
-        if (alive.expired()) return;
-        if (finished_ || phase_ != MigrationPhase::kDelta) return;
-        const uint64_t read_bytes = std::max<uint64_t>(round.bytes, 1);
-        source_db_->ChargeSequentialRead(
-            read_bytes, kMigrationStreamId,
-            [this, alive, round = std::move(round), frame, cost]() mutable {
-              if (alive.expired()) return;
-              auto send = [this, round = std::move(round), frame]() mutable {
-                net::Message msg;
-                msg.type = net::MessageType::kDeltaBatch;
-                msg.tenant_id = tenant_id_;
-                msg.lsn = round.to;
-                msg.payload_bytes = round.bytes;
-                msg.frame = frame;
-                msg.log_records = std::move(round.records);
-                ctx_->SendMessage(source_server_, target_server_, msg);
-              };
-              if (cost > 0.0) {
-                source_db_->ChargeCpu(cost,
-                                      [alive, send = std::move(send)]() mutable {
-                                        if (!alive.expired()) send();
-                                      });
-              } else {
-                send();
-              }
-            });
-      });
+  return out;
 }
 
 void MigrationJob::BeginHandover() {
@@ -1067,23 +944,20 @@ void MigrationJob::OnSourceDrained() {
   // throttle and the codec), so wire bytes equal logical bytes.
   report_.delta_wire_bytes += final_round.bytes;
 
-  const uint64_t read_bytes = std::max<uint64_t>(final_round.bytes, 1);
   // The final delta is tiny and the tenant is frozen: it ships at full
   // speed, bypassing the throttle (the freeze window must stay short).
-  source_db_->ChargeSequentialRead(
-      read_bytes, kMigrationStreamId,
-      [this, alive = std::weak_ptr<bool>(alive_),
-       final_round = std::move(final_round)]() mutable {
-        if (alive.expired()) return;
-        net::Message msg;
-        msg.type = net::MessageType::kHandoverRequest;
-        msg.tenant_id = tenant_id_;
-        msg.lsn = std::max(final_round.to, source_db_->last_lsn());
-        msg.digest = source_digest_;
-        msg.payload_bytes = final_round.bytes;
-        msg.log_records = std::move(final_round.records);
-        ctx_->SendMessage(source_server_, target_server_, msg);
-      });
+  const uint64_t logical = final_round.bytes;
+  auto send = [this, final_round = std::move(final_round)]() mutable {
+    net::Message msg;
+    msg.type = net::MessageType::kHandoverRequest;
+    msg.tenant_id = tenant_id_;
+    msg.lsn = std::max(final_round.to, source_db_->last_lsn());
+    msg.digest = source_digest_;
+    msg.payload_bytes = final_round.bytes;
+    msg.log_records = std::move(final_round.records);
+    ctx_->SendMessage(source_server_, target_server_, msg);
+  };
+  ShipAfterRead(logical, /*encode_seconds=*/0.0, std::move(send));
 }
 
 void MigrationJob::OnHandoverAck(const net::Message& message) {

@@ -209,25 +209,47 @@ class MigrationJob {
   /// deterministically, never fail. No-op for legacy (v0) pairs.
   void NegotiateCapabilities(const net::Message& message);
   void BeginSnapshot();
+  /// The one snapshot pump, raw or coded (DESIGN.md §11.5): takes
+  /// throttle tokens for the next chunk, then reads it, pays any encode
+  /// CPU and sends it. Raw pays the nominal chunk before the read; coded
+  /// reads and encodes first and pays the frame's wire bytes.
   void PumpSnapshot();
-  /// Codec-enabled snapshot pump (options_.codec.mode != kRaw): picks a
-  /// per-chunk codec, encodes, then meters *wire* bytes through the
-  /// throttle while progress accounting stays logical. The raw pump
-  /// stays byte-identical for golden traces.
-  void PumpSnapshotEncoded();
-  /// Reads the next chunk and encodes it under the selector's choice;
-  /// fills pending_chunk_.
+  /// Reads the next chunk into pending_chunk_: raw as read, coded under
+  /// the selector's choice, cached as a future delta base.
   void ProducePendingChunk();
   void OnSnapshotDrained();
   /// Target reported a gap or corrupt chunk: go-back-N to `chunk_seq`.
   void OnSnapshotNack(const net::Message& message);
   void BeginPrepare();
   void BeginDeltaRounds();
+  /// The one delta shipper, under the snapshot pump's token rule: raw
+  /// pays the pending log bytes and reads the round inside the grant;
+  /// coded reads and encodes first and pays the frame's wire bytes.
   void ShipNextDelta();
-  /// Codec-enabled delta shipping: rounds are read first (wire size is
-  /// only known post-encode), LZ-compressed when the selector engages,
-  /// and metered through the throttle in wire bytes.
-  void ShipNextDeltaEncoded();
+  /// A delta round with its frame.
+  struct EncodedRound {
+    backup::DeltaRound round;
+    codec::EncodedChunk enc;
+  };
+  /// Reads and encodes the next round and records it in the report and
+  /// trace. Nullopt when the read ended the phase: an error finishes the
+  /// job, an empty round begins the handover.
+  std::optional<EncodedRound> ReadDeltaRound();
+  /// The selector's choice for one chunk or round; kRaw without one.
+  codec::Codec ChooseCodec(uint64_t logical_bytes, bool has_delta_base) const;
+  /// Adds one frame to the report: logical and wire bytes (to the
+  /// stream's counters), encode CPU, the per-codec chunk count; feeds LZ
+  /// ratios back to the selector.
+  void CountFrame(const codec::EncodedChunk& enc, uint64_t* logical_bytes,
+                  uint64_t* wire_bytes);
+  /// Codec trace event and counters for one frame (coded jobs only;
+  /// call with a tracer).
+  void TraceEncoded(uint64_t seq, const codec::EncodedChunk& enc);
+  /// The send tail of every stream (chunks, delta rounds, the final
+  /// round): a sequential read of `logical_bytes`, then `encode_seconds`
+  /// of source CPU when nonzero, then `send`.
+  void ShipAfterRead(uint64_t logical_bytes, double encode_seconds,
+                     std::function<void()> send);
   void BeginHandover();
   void OnSourceDrained();
   void OnHandoverAck(const net::Message& message);
@@ -299,7 +321,10 @@ class MigrationJob {
   /// Consecutive over-threshold controller ticks (overload bail-out).
   int overload_strikes_ = 0;
 
-  // --- Codec pipeline state (inert when options_.codec.mode == kRaw).
+  // --- Codec pipeline state. selector_ is built in BeginSnapshot from
+  // the negotiated mode. A raw job has none: it caches no delta bases,
+  // never reads delta_blocked_, and holds a chunk in pending_chunk_ only
+  // inside that chunk's own grant.
   /// Per-chunk adaptive codec choice.
   std::unique_ptr<codec::CodecSelector> selector_;
   /// A transmitted chunk kept as a future delta-retransmission base,
@@ -314,7 +339,8 @@ class MigrationJob {
   /// precisely the chunk the target failed to stage, so no base exists
   /// there. Cleared per migration.
   std::set<uint64_t> delta_blocked_;
-  /// The encoded chunk currently waiting on throttle tokens.
+  /// The chunk between its read and its send: a coded chunk waits here
+  /// for throttle tokens.
   struct PendingChunk {
     uint64_t seq = 0;
     uint32_t chunk_crc = 0;

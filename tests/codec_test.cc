@@ -2,11 +2,14 @@
 // compressor, the checksummed frame header, the row-delta encoder, the
 // adaptive selector, and the end-to-end delta-retransmission path
 // (HotBackupStream::RewindTo reconciling against a mutated table, and a
-// full migration with a forced NACK shipping delta frames).
+// full migration with a forced NACK shipping delta frames), and a
+// pinned digest of the source's wire sequence in raw, coded and
+// downgraded migrations.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -673,6 +676,164 @@ TEST(CodecMigrationTest, MixedVersionPairDowngradesToCommonCodec) {
       EXPECT_EQ(report.snapshot_wire_bytes, report.snapshot_bytes);
       EXPECT_EQ(report.delta_wire_bytes, report.delta_bytes);
     }
+  }
+}
+
+// ------------------------------------------------ Pinned wire sequence
+
+uint64_t HashDouble(uint64_t digest, double value) {
+  return HashCombine(digest, std::bit_cast<uint64_t>(value));
+}
+
+struct WireCase {
+  const char* name;
+  CodecMode mode;
+  bool drop_chunk_2;
+  uint32_t source_version;
+  uint32_t target_version;
+  /// A 2 MB/s pipe with 64 KiB chunks (so a 64 KiB burst) under 50
+  /// txn/s: delta rounds outgrow the burst and wait for tokens, which
+  /// is where reading before or after the grant differs.
+  bool slow_pipe;
+  uint64_t expected_digest;
+};
+
+/// Runs one migration and digests every source->target message as the
+/// target receives it (delivery time, type, seq, logical and wire
+/// payload sizes, frame codec, chunk CRC, LSN, row/record counts), then
+/// folds in the final report's counters and phase times.
+uint64_t MigrationWireDigest(const WireCase& c, MigrationReport* report) {
+  sim::Simulator sim;
+  ClusterOptions cluster_options;
+  cluster_options.num_servers = 2;
+  Cluster cluster(&sim, cluster_options);
+  if (c.source_version != 0) {
+    EXPECT_TRUE(cluster.SetServerVersion(0, c.source_version).ok());
+    EXPECT_TRUE(cluster.SetServerVersion(1, c.target_version).ok());
+  }
+
+  engine::TenantConfig tenant;
+  tenant.tenant_id = 1;
+  tenant.layout.record_count = 16 * 1024;
+  tenant.buffer_pool_bytes = 2 * kMiB;
+  EXPECT_TRUE(cluster.AddTenant(0, tenant).ok());
+
+  auto digest = std::make_shared<uint64_t>(0);
+  auto dropped = std::make_shared<bool>(false);
+  const bool drop = c.drop_chunk_2;
+  cluster.ChannelBetween(0, 1)->SetDeliveryFilter(
+      [&sim, digest, dropped, drop](net::Message* m) {
+        uint64_t d = HashDouble(*digest, sim.Now());
+        d = HashCombine(d, static_cast<uint64_t>(m->type));
+        d = HashCombine(d, m->chunk_seq);
+        d = HashCombine(d, m->payload_bytes);
+        d = HashCombine(d, m->wire_payload_bytes());
+        d = HashCombine(d, static_cast<uint64_t>(m->frame.codec));
+        d = HashCombine(d, m->chunk_crc);
+        d = HashCombine(d, m->lsn);
+        d = HashCombine(d, m->rows.size());
+        d = HashCombine(d, m->log_records.size());
+        *digest = d;
+        if (drop && !*dropped && m->type == net::MessageType::kSnapshotChunk &&
+            m->chunk_seq == 2) {
+          *dropped = true;
+          return false;
+        }
+        return true;
+      });
+
+  workload::YcsbConfig ycsb;
+  ycsb.record_count = tenant.layout.record_count;
+  ycsb.mean_interarrival = c.slow_pipe ? 0.02 : 0.05;
+  workload::YcsbWorkload workload(ycsb, 1, 0xc0de);
+  workload::ClientPool pool(&sim, &workload, &cluster,
+                            cluster.MakeLatencyObserver());
+  cluster.AttachClientPool(1, &pool);
+  pool.Start();
+  sim.RunUntil(2.0);
+
+  MigrationOptions options;
+  options.throttle = ThrottleKind::kFixed;
+  options.fixed_rate_mbps = c.slow_pipe ? 2.0 : 16.0;
+  if (c.slow_pipe) options.backup.chunk_bytes = 64 * kKiB;
+  options.prepare.base_seconds = 0.5;
+  // A small handover budget keeps the job in delta rounds for a while,
+  // so kDeltaBatch frames are on the wire too.
+  options.delta_handover_bytes = 2 * kKiB;
+  options.codec.mode = c.mode;
+  bool done = false;
+  EXPECT_TRUE(cluster
+                  .StartMigration(1, 1, options,
+                                  [&](const MigrationReport& r) {
+                                    *report = r;
+                                    done = true;
+                                  })
+                  .ok());
+  sim.RunUntil(120.0);
+  pool.Stop();
+  sim.RunUntil(140.0);
+  EXPECT_TRUE(done);
+  EXPECT_EQ(*dropped, c.drop_chunk_2);
+
+  uint64_t d = *digest;
+  for (const uint64_t v :
+       {report->snapshot_bytes, report->delta_bytes,
+        report->snapshot_wire_bytes, report->delta_wire_bytes,
+        report->chunks_raw, report->chunks_lz, report->chunks_delta,
+        static_cast<uint64_t>(report->delta_rounds),
+        report->chunks_retransmitted, report->resumed_bytes,
+        static_cast<uint64_t>(report->digest_match)}) {
+    d = HashCombine(d, v);
+  }
+  for (const double v :
+       {report->codec_cpu_seconds, report->start_time, report->end_time,
+        report->negotiate_seconds, report->snapshot_seconds,
+        report->prepare_seconds, report->delta_seconds,
+        report->handover_seconds, report->downtime_ms}) {
+    d = HashDouble(d, v);
+  }
+  return d;
+}
+
+TEST(CodecMigrationTest, WireSequenceIsPinned) {
+  // Every message the source puts on the wire, in order and in time,
+  // plus the report: the raw pump (tokens before the read), the coded
+  // pump (encode, then tokens for the wire size), a go-back-N NACK in
+  // both modes (the adaptive resend ships kDelta frames), and a
+  // negotiated v3 -> v1 downgrade to raw. Delta mode sends coded frames
+  // that fall back to kRaw (snapshot chunks and delta rounds alike)
+  // beside its kDelta resends. The slow-pipe raw cases make delta
+  // rounds wait for tokens: reading a raw round before its grant instead
+  // of inside it moves their digests. Any change to when the throttle
+  // is paid or what a frame carries moves these digests.
+  const WireCase kCases[] = {
+      {"raw", CodecMode::kRaw, false, 0, 0, false, 0xca63a1743f5e689eull},
+      {"raw+drop", CodecMode::kRaw, true, 0, 0, false, 0x915ac0242ac6f77full},
+      {"raw slow", CodecMode::kRaw, false, 0, 0, true, 0x0ff669f6b75e942bull},
+      {"raw slow+drop", CodecMode::kRaw, true, 0, 0, true,
+       0x7718014b240ff57dull},
+      {"adaptive", CodecMode::kAdaptive, false, 0, 0, false,
+       0x1c4ff5c17d5ed3e3ull},
+      {"adaptive+drop", CodecMode::kAdaptive, true, 0, 0, false,
+       0x9ef2df3274438015ull},
+      {"delta+drop", CodecMode::kDelta, true, 0, 0, false,
+       0xb3853c8850068214ull},
+      {"adaptive v3->v1", CodecMode::kAdaptive, false, 3, 1, false,
+       0xfbad8a15b0875604ull},
+      {"adaptive v3->v1+drop", CodecMode::kAdaptive, true, 3, 1, false,
+       0xcb46f962c48eb2eaull},
+  };
+  for (const WireCase& c : kCases) {
+    SCOPED_TRACE(c.name);
+    MigrationReport report;
+    const uint64_t digest = MigrationWireDigest(c, &report);
+    ASSERT_TRUE(report.status.ok()) << report.status.ToString();
+    EXPECT_TRUE(report.digest_match);
+    EXPECT_EQ(report.chunks_retransmitted > 0, c.drop_chunk_2);
+    EXPECT_EQ(digest, c.expected_digest)
+        << std::hex << "0x" << digest << " chunks raw/lz/delta "
+        << std::dec << report.chunks_raw << "/" << report.chunks_lz << "/"
+        << report.chunks_delta << " rounds " << report.delta_rounds;
   }
 }
 
