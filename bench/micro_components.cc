@@ -1,16 +1,19 @@
 // Microbenchmarks (google-benchmark) for the hot components under the
-// experiments: B+-tree ops, buffer pool touches, PID updates, wire
-// codec, CRC32C and LZ over a migration chunk, binlog append/scan,
-// event queue churn, and token bucket grants. These bound the
-// simulator's own overhead and document the costs of the core data
-// structures.
+// experiments: B+-tree ops, buffer pool touches, PID updates, the
+// controller's latency monitor, wire codec, CRC32C and LZ over a
+// migration chunk, binlog append/scan, event queue churn, and token
+// bucket grants. These bound the simulator's own overhead and document
+// the costs of the core data structures.
 
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "src/codec/chunk_codec.h"
 #include "src/codec/lz.h"
 #include "src/common/checksum.h"
 #include "src/common/random.h"
+#include "src/control/latency_monitor.h"
 #include "src/control/pid.h"
 #include "src/net/message.h"
 #include "src/obs/trace.h"
@@ -97,6 +100,28 @@ void BM_PidUpdate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PidUpdate);
+
+// The controller's sensor on a busy server: one completion per
+// simulated ms into a steady 3 s window, so ~3000 samples are live and
+// each Record evicts about one. Latencies come from a precomputed
+// table so the RNG stays out of the timed loop.
+void BM_LatencyMonitorRecord(benchmark::State& state) {
+  std::vector<double> latencies(4096);
+  Rng rng(4);
+  for (double& v : latencies) v = rng.Exponential(100.0);
+  control::LatencyMonitor monitor(3.0);
+  SimTime now = 0.0;
+  size_t i = 0;
+  for (; i < 3000; ++i) monitor.Record(now += 0.001, latencies[i & 4095]);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(&monitor);
+    monitor.Record(now += 0.001, latencies[i++ & 4095]);
+    benchmark::ClobberMemory();
+  }
+  benchmark::DoNotOptimize(monitor.WindowAverageMs(now));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LatencyMonitorRecord);
 
 void BM_MessageRoundTrip(benchmark::State& state) {
   net::Message msg;

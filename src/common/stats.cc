@@ -44,32 +44,6 @@ double RunningStats::variance() const {
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
-SlidingWindowMean::SlidingWindowMean(double window) : window_(window) {}
-
-void SlidingWindowMean::Add(double now, double value) {
-  samples_.push_back({now, value});
-  sum_ += value;
-  Evict(now);
-}
-
-void SlidingWindowMean::Evict(double now) {
-  while (!samples_.empty() && samples_.front().time <= now - window_) {
-    sum_ -= samples_.front().value;
-    samples_.pop_front();
-  }
-}
-
-double SlidingWindowMean::MeanAt(double now, double fallback) {
-  Evict(now);
-  if (samples_.empty()) return fallback;
-  return sum_ / static_cast<double>(samples_.size());
-}
-
-size_t SlidingWindowMean::CountAt(double now) {
-  Evict(now);
-  return samples_.size();
-}
-
 double PercentileTracker::Percentile(double p) const {
   if (values_.empty()) return 0.0;
   std::vector<double> sorted = values_;

@@ -5,8 +5,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/common/ring_deque.h"
-
 namespace slacker {
 
 /// Streaming mean/variance/min/max via Welford's algorithm. O(1) per
@@ -33,43 +31,6 @@ class RunningStats {
   double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-/// Mean over observations whose timestamp falls in a trailing window —
-/// the smoothing the paper applies to transaction latencies (3 s window
-/// sampled every 1 s) before feeding them to the PID controller.
-class SlidingWindowMean {
- public:
-  /// `window` is the trailing extent in simulated seconds.
-  explicit SlidingWindowMean(double window);
-
-  /// Records observation `value` occurring at time `now`.
-  void Add(double now, double value);
-
-  /// Mean of observations in (now - window, now]. Returns `fallback`
-  /// when the window holds no observations (e.g., the server is stalled
-  /// and nothing completed — the paper's monitor reports the last known
-  /// average in that case; callers pass what they need).
-  double MeanAt(double now, double fallback = 0.0);
-
-  /// Number of observations currently inside the window at time `now`.
-  size_t CountAt(double now);
-
-  double window() const { return window_; }
-
- private:
-  void Evict(double now);
-
-  struct Sample {
-    double time;
-    double value;
-  };
-
-  double window_;
-  // Flat ring, not std::deque: one eviction scan runs per completion on
-  // every server, and deque's block churn was measurable in profiles.
-  RingDeque<Sample> samples_;
-  double sum_ = 0.0;
 };
 
 /// Percentile over a recorded sample vector. Keeps every observation;

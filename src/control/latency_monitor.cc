@@ -9,22 +9,22 @@ namespace slacker::control {
 
 LatencyMonitor::LatencyMonitor(SimTime window) : window_(window) {}
 
-void LatencyMonitor::PruneExpired(SimTime now) {
-  // Same half-open (now - window, now] convention as
-  // SlidingWindowMean::Evict: a sample exactly `window` old is out.
-  while (!samples_.empty() && samples_.front().time <= now - window()) {
+void LatencyMonitor::Evict(SimTime now) {
+  while (!samples_.empty() && samples_.front().time <= now - window_) {
+    sum_ -= samples_.front().latency_ms;
     samples_.pop_front();
   }
 }
 
 void LatencyMonitor::Record(SimTime now, double latency_ms) {
-  window_.Add(now, latency_ms);
   samples_.push_back({now, latency_ms});
-  PruneExpired(now);
+  sum_ += latency_ms;
+  Evict(now);
   ++total_recorded_;
   // Keep the "last known average" fresh even if nobody polls between
   // recordings, so a later empty-window read reports recent reality.
-  last_average_ = window_.MeanAt(now);
+  last_average_ =
+      samples_.empty() ? 0.0 : sum_ / static_cast<double>(samples_.size());
 }
 
 void LatencyMonitor::SetOutstandingProbe(
@@ -33,8 +33,9 @@ void LatencyMonitor::SetOutstandingProbe(
 }
 
 double LatencyMonitor::WindowAverageMs(SimTime now) {
-  if (window_.CountAt(now) > 0) {
-    last_average_ = window_.MeanAt(now);
+  Evict(now);
+  if (!samples_.empty()) {
+    last_average_ = sum_ / static_cast<double>(samples_.size());
     return last_average_;
   }
   // Nothing completed recently. If transactions are stuck in flight,
@@ -50,7 +51,8 @@ double LatencyMonitor::WindowAverageMs(SimTime now) {
 }
 
 size_t LatencyMonitor::WindowCount(SimTime now) {
-  return window_.CountAt(now);
+  Evict(now);
+  return samples_.size();
 }
 
 bool LatencyMonitor::WithinGuardBand(SimTime now, double setpoint_ms,
@@ -60,13 +62,18 @@ bool LatencyMonitor::WithinGuardBand(SimTime now, double setpoint_ms,
 }
 
 double LatencyMonitor::WindowPercentileMs(SimTime now, double percentile) {
-  PruneExpired(now);
-  if (samples_.empty()) return WindowAverageMs(now);
+  // Skip, do not pop, the expired prefix: popping here would take those
+  // samples out of `sum_` at a point the mean path never evicts at.
+  size_t first = 0;
+  while (first < samples_.size() && samples_[first].time <= now - window_) {
+    ++first;
+  }
+  if (first == samples_.size()) return WindowAverageMs(now);
   // Reuse the scratch buffer across ticks; clear() keeps capacity.
   std::vector<double>& values = percentile_scratch_;
   values.clear();
-  values.reserve(samples_.size());
-  for (size_t i = 0; i < samples_.size(); ++i) {
+  values.reserve(samples_.size() - first);
+  for (size_t i = first; i < samples_.size(); ++i) {
     values.push_back(samples_[i].latency_ms);
   }
   if (percentile <= 0.0) {

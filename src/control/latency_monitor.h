@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "src/common/ring_deque.h"
-#include "src/common/stats.h"
 #include "src/common/units.h"
 
 namespace slacker::control {
@@ -48,25 +47,26 @@ class LatencyMonitor {
   bool WithinGuardBand(SimTime now, double setpoint_ms, double band_fraction);
 
   uint64_t total_recorded() const { return total_recorded_; }
-  SimTime window() const { return window_.window(); }
+  SimTime window() const { return window_; }
 
  private:
-  /// Evicts percentile samples that have left the window. Mirrors
-  /// SlidingWindowMean's convention exactly — the window is
-  /// (now - window, now], so a sample exactly `window` old is evicted
-  /// by both the mean and the percentile paths.
-  void PruneExpired(SimTime now);
+  /// Pops samples that have left the window (now - window, now] — a
+  /// sample exactly `window` old is out — and takes each out of `sum_`.
+  /// Runs only where a sample is recorded or the mean/count is read, so
+  /// the floating-point sum always sees the same add/evict order.
+  void Evict(SimTime now);
 
   struct Sample {
     SimTime time;
     double latency_ms;
   };
 
-  SlidingWindowMean window_;
-  // Parallel record of (time, latency) for percentile queries, kept in
-  // a flat ring so the per-completion eviction scan stays in one cache
-  // run and never allocates.
+  SimTime window_;
+  // The one record of (time, latency): the mean reads `sum_` over it and
+  // the percentile selects over it. A flat ring, so the per-completion
+  // eviction scan stays in one cache run and never allocates.
   RingDeque<Sample> samples_;
+  double sum_ = 0.0;
   // Persistent scratch for WindowPercentileMs: the selection needs a
   // mutable copy of the window's values, and reallocating it every
   // controller tick (once per server per second at fig14 scale) was

@@ -47,7 +47,7 @@ void TenantDb::Load() {
 
 void TenantDb::ExecuteOp(const Operation& op, OpCallback done) {
   if (frozen_ && TouchesFrozenRange(op)) {
-    frozen_queue_.push_back(PendingOp{op, std::move(done)});
+    frozen_queue_.push_back(PendingOp{op, std::move(done), {}, false});
     return;
   }
   StartOp(op, std::move(done));
@@ -71,8 +71,10 @@ bool TenantDb::TouchesFrozenRange(const Operation& op) const {
 
 uint64_t TenantDb::RegisterOp(const Operation& op, OpCallback done) {
   const uint64_t token = next_op_token_++;
-  pending_done_[token] = PendingDone{op, std::move(done)};
-  if (op_latency_hist_ != nullptr) op_start_[token] = sim_->Now();
+  PendingOp& pending = in_flight_ops_[token];
+  pending.op = op;
+  pending.done = std::move(done);
+  if (op_latency_hist_ != nullptr) pending.start = sim_->Now();
   return token;
 }
 
@@ -80,16 +82,16 @@ void TenantDb::AttachObs(common::Histogram* op_latency_ms,
                          common::Counter* ops) {
   op_latency_hist_ = op_latency_ms;
   ops_counter_ = ops;
-  if (op_latency_hist_ == nullptr) op_start_.clear();
+  if (op_latency_hist_ == nullptr) {
+    for (auto& [token, pending] : in_flight_ops_) pending.start.reset();
+  }
 }
 
 void TenantDb::StartOp(const Operation& op, OpCallback done) {
   if (op.type == OpType::kScan) {
-    ++in_flight_;
     StartScan(op, RegisterOp(op, std::move(done)));
     return;
   }
-  ++in_flight_;
   const uint64_t token = RegisterOp(op, std::move(done));
   // Stage 1: CPU (parse/plan/execute). Continuations are guarded by
   // alive_: a server crash destroys the instance while its work is
@@ -175,17 +177,18 @@ void TenantDb::ScanNextPage(uint64_t page, uint64_t last_page, Operation op,
 }
 
 void TenantDb::FinishOp(const Operation& op, uint64_t token) {
-  auto it = pending_done_.find(token);
-  if (it == pending_done_.end()) return;  // Claimed by FailInFlight.
+  auto it = in_flight_ops_.find(token);
+  if (it == in_flight_ops_.end()) return;  // Claimed by FailInFlight.
   OpCallback done = std::move(it->second.done);
-  pending_done_.erase(it);
-  if (frozen_ && draining_tokens_.erase(token) > 0) MaybeNotifyDrained();
-  if (op_latency_hist_ != nullptr) {
-    auto start = op_start_.find(token);
-    if (start != op_start_.end()) {
-      op_latency_hist_->Observe(MsFromSeconds(sim_->Now() - start->second));
-      op_start_.erase(start);
-    }
+  const bool draining = it->second.draining;
+  const std::optional<SimTime> start = it->second.start;
+  in_flight_ops_.erase(it);
+  if (frozen_ && draining) {
+    --draining_ops_;
+    MaybeNotifyDrained();
+  }
+  if (op_latency_hist_ != nullptr && start.has_value()) {
+    op_latency_hist_->Observe(MsFromSeconds(sim_->Now() - *start));
   }
   if (ops_counter_ != nullptr) ops_counter_->Add();
   WrittenRow written;
@@ -198,7 +201,6 @@ void TenantDb::FinishOp(const Operation& op, uint64_t token) {
     written = ApplyWrite(op);
   }
   ++ops_executed_;
-  --in_flight_;
   if (done) done(status, written);
 }
 
@@ -273,19 +275,20 @@ void TenantDb::Freeze(std::function<void()> drained, uint64_t lo,
   frozen_ = true;
   freeze_lo_ = lo;
   freeze_hi_ = hi;
-  // Drain exactly the in-flight ops that overlap the range — recorded
-  // as a token set so the membership decision is made once, here, and
-  // cannot drift as the insert cursor advances.
-  draining_tokens_.clear();
-  for (const auto& [token, pending] : pending_done_) {
-    if (TouchesFrozenRange(pending.op)) draining_tokens_.insert(token);
+  // Drain exactly the in-flight ops that overlap the range — flagged
+  // so the membership decision is made once, here, and cannot drift as
+  // the insert cursor advances.
+  draining_ops_ = 0;
+  for (auto& [token, pending] : in_flight_ops_) {
+    pending.draining = TouchesFrozenRange(pending.op);
+    if (pending.draining) ++draining_ops_;
   }
   drain_waiters_.push_back(std::move(drained));
   MaybeNotifyDrained();
 }
 
 void TenantDb::MaybeNotifyDrained() {
-  if (!frozen_ || !draining_tokens_.empty() || drain_waiters_.empty()) {
+  if (!frozen_ || draining_ops_ != 0 || drain_waiters_.empty()) {
     return;
   }
   auto waiters = std::move(drain_waiters_);
@@ -296,8 +299,9 @@ void TenantDb::MaybeNotifyDrained() {
 }
 
 void TenantDb::Unfreeze() {
+  // The draining flags go stale here; the next Freeze rewrites them.
   frozen_ = false;
-  draining_tokens_.clear();
+  draining_ops_ = 0;
   // Admit everything that queued behind the lock, in order.
   auto queued = std::move(frozen_queue_);
   frozen_queue_.clear();
@@ -308,7 +312,7 @@ void TenantDb::Unfreeze() {
 
 void TenantDb::FailQueued() {
   frozen_ = false;
-  draining_tokens_.clear();
+  draining_ops_ = 0;
   auto queued = std::move(frozen_queue_);
   frozen_queue_.clear();
   for (auto& pending : queued) {
@@ -322,11 +326,9 @@ void TenantDb::FailQueued() {
 }
 
 void TenantDb::FailInFlight(const Status& status) {
-  auto pending = std::move(pending_done_);
-  pending_done_.clear();
-  op_start_.clear();
-  in_flight_ = 0;
-  draining_tokens_.clear();
+  auto pending = std::move(in_flight_ops_);
+  in_flight_ops_.clear();
+  draining_ops_ = 0;
   for (auto& [token, p] : pending) {
     if (!p.done) continue;
     // Defer: callers expect completion callbacks to arrive from the

@@ -3,10 +3,10 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <functional>
+#include <map>
 #include <memory>
-#include <set>
+#include <optional>
 #include <vector>
 
 #include "src/common/metric_types.h"
@@ -180,7 +180,6 @@ class TenantDb {
 
   uint64_t ops_executed() const { return ops_executed_; }
   size_t queued_ops() const { return frozen_queue_.size(); }
-  int in_flight() const { return in_flight_; }
 
   /// Hooks engine-level metrics into an observability registry: every
   /// completed operation observes its start-to-finish latency (ms) and
@@ -189,14 +188,16 @@ class TenantDb {
   void AttachObs(common::Histogram* op_latency_ms, common::Counter* ops);
 
  private:
+  /// An op queued behind a freeze, or in flight (then keyed by its
+  /// token in `in_flight_ops_`).
   struct PendingOp {
     Operation op;
     OpCallback done;
-  };
-
-  struct PendingDone {
-    Operation op;
-    OpCallback done;
+    /// Set iff the op started while a latency histogram was attached.
+    std::optional<SimTime> start;
+    /// Whether the current freeze's drain waits on this op. Decided at
+    /// Freeze and read only while frozen.
+    bool draining = false;
   };
 
   void StartOp(const Operation& op, OpCallback done);
@@ -204,8 +205,8 @@ class TenantDb {
   void ScanNextPage(uint64_t page, uint64_t last_page, Operation op,
                     uint64_t token);
   void FinishOp(const Operation& op, uint64_t token);
-  /// Registers an in-flight op's callback; FinishOp/FailInFlight claim
-  /// it exactly once by token.
+  /// Registers an in-flight op; FinishOp/FailInFlight claim it exactly
+  /// once by token.
   uint64_t RegisterOp(const Operation& op, OpCallback done);
   WrittenRow ApplyWrite(const Operation& op);
   void MaybeNotifyDrained();
@@ -232,23 +233,22 @@ class TenantDb {
   int next_pin_token_ = 1;
 
   /// The freeze: only ops touching [freeze_lo_, freeze_hi_) queue; the
-  /// drain waits on exactly the in-flight tokens that overlapped the
-  /// range at freeze time.
+  /// drain waits on exactly the in-flight ops that overlapped the range
+  /// at freeze time (`draining_ops_` of them are still running).
   bool frozen_ = false;
   uint64_t freeze_lo_ = 0;
   uint64_t freeze_hi_ = 0;
   std::deque<PendingOp> frozen_queue_;
-  std::set<uint64_t> draining_tokens_;
+  size_t draining_ops_ = 0;
   std::vector<std::function<void()>> drain_waiters_;
-  int in_flight_ = 0;
   uint64_t ops_executed_ = 0;
 
+  /// The one record of every in-flight op, in token (= start) order.
   uint64_t next_op_token_ = 1;
-  std::map<uint64_t, PendingDone> pending_done_;
+  std::map<uint64_t, PendingOp> in_flight_ops_;
   /// Observability (inert unless AttachObs was called).
   common::Histogram* op_latency_hist_ = nullptr;
   common::Counter* ops_counter_ = nullptr;
-  std::map<uint64_t, SimTime> op_start_;
   /// Expires when the instance is destroyed (server crash / tenant
   /// delete); continuations routed through the shared disk/CPU check it
   /// before touching `this`, so a crash can destroy the db while its

@@ -12,6 +12,7 @@ struct TxnState {
   TxnSpec spec;
   TxnResult result;
   size_t next_op = 0;
+  bool collect_writes = false;
   TxnCallback done;
 };
 
@@ -35,7 +36,9 @@ void RunNextOp(std::shared_ptr<TxnState> state) {
       if (state->done) state->done(state->result);
       return;
     }
-    if (row.lsn != 0) state->result.writes.push_back(row);
+    if (state->collect_writes && row.lsn != 0) {
+      state->result.writes.push_back(row);
+    }
     RunNextOp(state);
   });
 }
@@ -43,13 +46,15 @@ void RunNextOp(std::shared_ptr<TxnState> state) {
 }  // namespace
 
 void ExecuteTransaction(sim::Simulator* sim, TenantDb* db, TxnSpec spec,
-                        SimTime start_time, TxnCallback done) {
+                        SimTime start_time, TxnCallback done,
+                        bool collect_writes) {
   auto state = std::make_shared<TxnState>();
   state->sim = sim;
   state->db = db;
   state->spec = std::move(spec);
   state->result.txn_id = state->spec.txn_id;
   state->result.start = start_time;
+  state->collect_writes = collect_writes;
   state->done = std::move(done);
   RunNextOp(std::move(state));
 }

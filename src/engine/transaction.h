@@ -27,6 +27,7 @@ struct TxnResult {
   SimTime end = 0.0;
   /// Row images of every write this transaction performed, in order;
   /// lets clients verify durability end-to-end across migrations.
+  /// Filled only when the caller asks for it (`collect_writes`).
   std::vector<WrittenRow> writes;
 
   double LatencyMs() const { return MsFromSeconds(end - start); }
@@ -40,10 +41,13 @@ using TxnCallback = std::function<void(const TxnResult&)>;
 /// mid-transaction), the transaction aborts with that status and the
 /// client retries against the new authoritative replica. `start_time`
 /// is when the transaction arrived — queueing delay ahead of execution
-/// counts toward its latency (§5.1.2). The txn owns its state; `db`
-/// and `sim` must outlive completion.
+/// counts toward its latency (§5.1.2). With `collect_writes` the
+/// result lists the row image of every write; without it `writes` stays
+/// empty and the transaction path does no per-write work. The txn owns
+/// its state; `db` and `sim` must outlive completion.
 void ExecuteTransaction(sim::Simulator* sim, TenantDb* db, TxnSpec spec,
-                        SimTime start_time, TxnCallback done);
+                        SimTime start_time, TxnCallback done,
+                        bool collect_writes = false);
 
 }  // namespace slacker::engine
 

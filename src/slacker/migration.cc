@@ -594,6 +594,13 @@ void MigrationJob::PumpSnapshot() {
     }
     PendingChunk pending = std::move(*pending_chunk_);
     pending_chunk_.reset();
+    // Only now is the chunk committed to the wire, so only now may it
+    // become a delta base: a chunk a NACK dropped before its grant never
+    // reached the target, and a resend must not delta against it.
+    if (selector_ != nullptr) {
+      CacheDeltaBase(pending.seq, pending.chunk_crc,
+                     std::move(pending.base_rows));
+    }
     ++inflight_chunks_;
     CountFrame(pending.enc, &report_.snapshot_bytes,
                &report_.snapshot_wire_bytes);
@@ -656,18 +663,23 @@ void MigrationJob::ProducePendingChunk() {
       chunk, ChooseCodec(chunk.logical_bytes, has_base), options_.codec,
       source_db_->config().layout.record_bytes,
       has_base ? &base_it->second.rows : nullptr);
+  pending.base_rows = std::move(chunk.rows);
+  pending_chunk_ = std::move(pending);
+}
+
+void MigrationJob::CacheDeltaBase(uint64_t seq, uint32_t crc,
+                                  std::vector<storage::Record> rows) {
   // Remember this transmission as the delta base for a go-back-N
   // resend: the target stages the same rows when the chunk arrives
   // intact but out of order.
   CachedChunk cached;
-  cached.crc = pending.chunk_crc;
-  cached.rows = std::move(chunk.rows);
-  chunk_cache_[chunk.seq] = std::move(cached);
+  cached.crc = crc;
+  cached.rows = std::move(rows);
+  chunk_cache_[seq] = std::move(cached);
   while (chunk_cache_.size() >
          static_cast<size_t>(options_.codec.max_cached_chunks)) {
     chunk_cache_.erase(chunk_cache_.begin());
   }
-  pending_chunk_ = std::move(pending);
 }
 
 codec::Codec MigrationJob::ChooseCodec(uint64_t logical_bytes,

@@ -214,9 +214,13 @@ class MigrationJob {
   /// CPU and sends it. Raw pays the nominal chunk before the read; coded
   /// reads and encodes first and pays the frame's wire bytes.
   void PumpSnapshot();
-  /// Reads the next chunk into pending_chunk_: raw as read, coded under
-  /// the selector's choice, cached as a future delta base.
+  /// Reads the next chunk into pending_chunk_: raw as read, or coded
+  /// under the selector's choice with its rows held for CacheDeltaBase.
   void ProducePendingChunk();
+  /// Caches a coded chunk's rows as the delta base for `seq`, once its
+  /// grant commits it to the wire.
+  void CacheDeltaBase(uint64_t seq, uint32_t crc,
+                      std::vector<storage::Record> rows);
   void OnSnapshotDrained();
   /// Target reported a gap or corrupt chunk: go-back-N to `chunk_seq`.
   void OnSnapshotNack(const net::Message& message);
@@ -345,6 +349,8 @@ class MigrationJob {
     uint64_t seq = 0;
     uint32_t chunk_crc = 0;
     codec::EncodedChunk enc;
+    /// Coded only: the rows as read, cached as a delta base on send.
+    std::vector<storage::Record> base_rows;
   };
   std::optional<PendingChunk> pending_chunk_;
 

@@ -98,7 +98,8 @@ void ClientPool::Dispatch(PendingTxn txn) {
       sim_, db, std::move(spec), arrival,
       [this, txn = std::move(txn)](const engine::TxnResult& result) mutable {
         OnTxnDone(std::move(txn), result);
-      });
+      },
+      /*collect_writes=*/completion_hook_ != nullptr);
 }
 
 void ClientPool::OnTxnDone(PendingTxn txn, const engine::TxnResult& result) {

@@ -91,7 +91,8 @@ class ClientPool {
   /// Subscribes `hook` to every committed transaction's result (ahead
   /// of the latency observer). One subscriber; a later call replaces it.
   /// Tests use it to keep an acked-write ledger for durability checks;
-  /// without a hook the pool does no per-write work.
+  /// only with a hook set does a result carry its `writes` — without
+  /// one the pool does no per-write work.
   using CompletionHook = std::function<void(const engine::TxnResult&)>;
   void set_completion_hook(CompletionHook hook) {
     completion_hook_ = std::move(hook);

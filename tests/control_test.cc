@@ -4,9 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <utility>
 #include <vector>
 
+#include "src/common/random.h"
+#include "src/common/ring_deque.h"
 #include "src/control/latency_monitor.h"
 #include "src/control/pid.h"
 #include "src/control/ziegler_nichols.h"
@@ -307,6 +314,170 @@ TEST(LatencyMonitorTest, ProbeNeverLowersSignal) {
   monitor.SetOutstandingProbe([](SimTime) { return 10.0; });
   // Last average (5000) dominates a tiny outstanding age.
   EXPECT_DOUBLE_EQ(monitor.WindowAverageMs(100.0), 5000.0);
+}
+
+TEST(LatencyMonitorTest, EvictsOldSamples) {
+  LatencyMonitor monitor(3.0);
+  monitor.Record(0.0, 100.0);
+  monitor.Record(1.0, 200.0);
+  EXPECT_DOUBLE_EQ(monitor.WindowAverageMs(1.0), 150.0);
+  // At t=3.5, the t=0 sample (age 3.5) is out; t=1 (age 2.5) remains.
+  EXPECT_DOUBLE_EQ(monitor.WindowAverageMs(3.5), 200.0);
+  // At t=4.5 everything is out; the last known average holds.
+  EXPECT_EQ(monitor.WindowCount(4.5), 0u);
+  EXPECT_DOUBLE_EQ(monitor.WindowAverageMs(4.5), 200.0);
+}
+
+TEST(LatencyMonitorTest, CountTracksWindow) {
+  LatencyMonitor monitor(2.0);
+  for (int i = 0; i < 10; ++i) monitor.Record(i * 0.5, 1.0);
+  EXPECT_EQ(monitor.WindowCount(4.5), 4u);  // Samples at 3.0, 3.5, 4.0, 4.5.
+}
+
+// The monitor as it was built before it kept one ring: a sliding-window
+// mean with its own sample ring and running sum, plus a second ring for
+// percentiles that evicts on its own schedule. Kept, with the same
+// arithmetic in the same order, as the reference the one-ring monitor
+// must match bit for bit.
+class TwoRingMonitor {
+ public:
+  explicit TwoRingMonitor(SimTime window) : window_(window) {}
+
+  void Record(SimTime now, double latency_ms) {
+    mean_samples_.push_back({now, latency_ms});
+    sum_ += latency_ms;
+    EvictMean(now);
+    pct_samples_.push_back({now, latency_ms});
+    PrunePercentile(now);
+    last_average_ = MeanAt(now);
+  }
+  void SetOutstandingProbe(std::function<double(SimTime)> probe) {
+    probe_ = std::move(probe);
+  }
+  double WindowAverageMs(SimTime now) {
+    if (CountAt(now) > 0) {
+      last_average_ = MeanAt(now);
+      return last_average_;
+    }
+    if (probe_) {
+      const double pending_age = probe_(now);
+      if (pending_age > 0.0) return std::max(pending_age, last_average_);
+    }
+    return last_average_;
+  }
+  size_t WindowCount(SimTime now) { return CountAt(now); }
+  double WindowPercentileMs(SimTime now, double percentile) {
+    PrunePercentile(now);
+    if (pct_samples_.empty()) return WindowAverageMs(now);
+    std::vector<double> values;
+    for (size_t i = 0; i < pct_samples_.size(); ++i) {
+      values.push_back(pct_samples_[i].latency_ms);
+    }
+    if (percentile <= 0.0) {
+      return *std::min_element(values.begin(), values.end());
+    }
+    if (percentile >= 100.0) {
+      return *std::max_element(values.begin(), values.end());
+    }
+    const auto rank = static_cast<size_t>(
+        std::ceil(percentile / 100.0 * static_cast<double>(values.size())));
+    const size_t index = rank == 0 ? 0 : rank - 1;
+    std::nth_element(values.begin(),
+                     values.begin() + static_cast<std::ptrdiff_t>(index),
+                     values.end());
+    return values[index];
+  }
+
+ private:
+  struct Sample {
+    SimTime time;
+    double latency_ms;
+  };
+
+  void EvictMean(SimTime now) {
+    while (!mean_samples_.empty() &&
+           mean_samples_.front().time <= now - window_) {
+      sum_ -= mean_samples_.front().latency_ms;
+      mean_samples_.pop_front();
+    }
+  }
+  double MeanAt(SimTime now) {
+    EvictMean(now);
+    if (mean_samples_.empty()) return 0.0;
+    return sum_ / static_cast<double>(mean_samples_.size());
+  }
+  size_t CountAt(SimTime now) {
+    EvictMean(now);
+    return mean_samples_.size();
+  }
+  void PrunePercentile(SimTime now) {
+    while (!pct_samples_.empty() &&
+           pct_samples_.front().time <= now - window_) {
+      pct_samples_.pop_front();
+    }
+  }
+
+  SimTime window_;
+  RingDeque<Sample> mean_samples_;
+  double sum_ = 0.0;
+  RingDeque<Sample> pct_samples_;
+  std::function<double(SimTime)> probe_;
+  double last_average_ = 0.0;
+};
+
+// Runs one seeded Record/Average/Percentile/Count sequence through
+// both monitors, comparing every reading by bit pattern.
+void ExpectMatchesTwoRingMonitor(uint64_t seed) {
+  SCOPED_TRACE(seed);
+  Rng rng(seed);
+  const SimTime window = 0.5 + rng.NextDouble() * 4.0;
+  LatencyMonitor monitor(window);
+  TwoRingMonitor reference(window);
+  // A stalled-server probe on half the seeds: the empty-window path
+  // must fall back identically too.
+  if (rng.Bernoulli(0.5)) {
+    auto probe = [](SimTime now) { return std::fmod(now * 733.0, 2000.0); };
+    monitor.SetOutstandingProbe(probe);
+    reference.SetOutstandingProbe(probe);
+  }
+  auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+  SimTime now = 0.0;
+  for (int step = 0; step < 20000; ++step) {
+    // Mostly short gaps (busy server), some ties, rare long silences
+    // that empty the window.
+    const double gap_draw = rng.NextDouble();
+    if (gap_draw < 0.002) {
+      now += window * (1.0 + rng.NextDouble() * 2.0);
+    } else if (gap_draw > 0.1) {
+      now += rng.Exponential(window / 50.0);
+    }
+    const double action = rng.NextDouble();
+    if (action < 0.7) {
+      const double latency = rng.Exponential(250.0);
+      monitor.Record(now, latency);
+      reference.Record(now, latency);
+    } else if (action < 0.8) {
+      ASSERT_EQ(bits(monitor.WindowAverageMs(now)),
+                bits(reference.WindowAverageMs(now)))
+          << "step " << step;
+    } else if (action < 0.9) {
+      const double p = rng.Bernoulli(0.2)
+                           ? (rng.Bernoulli(0.5) ? 0.0 : 100.0)
+                           : rng.NextDouble() * 100.0;
+      ASSERT_EQ(bits(monitor.WindowPercentileMs(now, p)),
+                bits(reference.WindowPercentileMs(now, p)))
+          << "step " << step << " p" << p;
+    } else {
+      ASSERT_EQ(monitor.WindowCount(now), reference.WindowCount(now))
+          << "step " << step;
+    }
+  }
+  EXPECT_EQ(bits(monitor.WindowAverageMs(now)),
+            bits(reference.WindowAverageMs(now)));
+}
+
+TEST(LatencyMonitorTest, MatchesTwoRingMonitorBitForBit) {
+  for (uint64_t seed : {1, 2, 3, 5, 8, 13}) ExpectMatchesTwoRingMonitor(seed);
 }
 
 // ---------------------------------------------------------------- ZN

@@ -6,6 +6,7 @@
 
 #include <vector>
 
+#include "src/common/metric_types.h"
 #include "src/common/random.h"
 #include "src/common/units.h"
 #include "src/engine/tenant_db.h"
@@ -323,6 +324,49 @@ TEST(TenantDbTest, LowestPinWinsAcrossSeveral) {
 
 // ---------------------------------------------------------------- Txn
 
+TEST(TenantDbTest, OpsStartedBeforeAttachObsAreNotObserved) {
+  Rig rig;
+  TenantDb db(&rig.sim, &rig.disk, &rig.cpu, SmallConfig());
+  db.Load();
+  common::Histogram latency;
+  common::Counter ops;
+  int done = 0;
+  auto count = [&](Status s, const WrittenRow&) { done += s.ok(); };
+  // Starts with no histogram attached: its start time is never taken,
+  // so attaching mid-flight must not observe it (it would report a
+  // latency measured from the wrong instant).
+  db.ExecuteOp(Operation{OpType::kRead, 1}, count);
+  db.AttachObs(&latency, &ops);
+  db.ExecuteOp(Operation{OpType::kRead, 600}, count);
+  rig.sim.RunUntil(1.0);
+  EXPECT_EQ(done, 2);
+  EXPECT_EQ(latency.count(), 1u);
+  EXPECT_GT(latency.sum(), 0.0);
+  // The counter counts every completion while attached.
+  EXPECT_EQ(ops.value(), 2u);
+}
+
+TEST(TenantDbTest, DetachForgetsStartsOfOpsInFlight) {
+  Rig rig;
+  TenantDb db(&rig.sim, &rig.disk, &rig.cpu, SmallConfig());
+  db.Load();
+  common::Histogram first;
+  common::Histogram second;
+  int done = 0;
+  auto count = [&](Status s, const WrittenRow&) { done += s.ok(); };
+  db.AttachObs(&first, nullptr);
+  db.ExecuteOp(Operation{OpType::kRead, 1}, count);
+  // Detach and reattach while the op is in flight: the detach dropped
+  // its start, so neither histogram observes it.
+  db.AttachObs(nullptr, nullptr);
+  db.AttachObs(&second, nullptr);
+  db.ExecuteOp(Operation{OpType::kRead, 600}, count);
+  rig.sim.RunUntil(1.0);
+  EXPECT_EQ(done, 2);
+  EXPECT_EQ(first.count(), 0u);
+  EXPECT_EQ(second.count(), 1u);
+}
+
 TEST(TransactionTest, SerialOpsThenCommit) {
   Rig rig;
   TenantDb db(&rig.sim, &rig.disk, &rig.cpu, SmallConfig());
@@ -334,7 +378,8 @@ TEST(TransactionTest, SerialOpsThenCommit) {
   }
   TxnResult result;
   ExecuteTransaction(&rig.sim, &db, spec, rig.sim.Now(),
-                     [&](const TxnResult& r) { result = r; });
+                     [&](const TxnResult& r) { result = r; },
+                     /*collect_writes=*/true);
   rig.sim.RunUntil(5.0);
   ASSERT_TRUE(result.status.ok());
   EXPECT_EQ(result.txn_id, 42u);
@@ -342,6 +387,22 @@ TEST(TransactionTest, SerialOpsThenCommit) {
   EXPECT_GT(result.LatencyMs(), 0.0);
   // 5 writes + 1 commit record.
   EXPECT_EQ(db.binlog()->record_count(), 6u);
+}
+
+TEST(TransactionTest, WritesListedOnlyWhenAsked) {
+  Rig rig;
+  TenantDb db(&rig.sim, &rig.disk, &rig.cpu, SmallConfig());
+  db.Load();
+  TxnSpec spec;
+  spec.txn_id = 7;
+  spec.ops.push_back(Operation{OpType::kUpdate, 3});
+  TxnResult result;
+  ExecuteTransaction(&rig.sim, &db, spec, rig.sim.Now(),
+                     [&](const TxnResult& r) { result = r; });
+  rig.sim.RunUntil(5.0);
+  ASSERT_TRUE(result.status.ok());
+  EXPECT_TRUE(result.writes.empty());
+  EXPECT_EQ(db.table().Get(3)->lsn, 1u);  // The write itself happened.
 }
 
 TEST(TransactionTest, LatencyIncludesQueueTime) {

@@ -126,7 +126,8 @@ TEST(ScanTest, TransactionMixesScansAndPointOps) {
   spec.ops.push_back(Operation{OpType::kUpdate, 7, 0});
   TxnResult result;
   ExecuteTransaction(&rig.sim, &db, spec, rig.sim.Now(),
-                     [&](const TxnResult& r) { result = r; });
+                     [&](const TxnResult& r) { result = r; },
+                     /*collect_writes=*/true);
   rig.sim.RunUntil(10.0);
   ASSERT_TRUE(result.status.ok());
   EXPECT_EQ(result.writes.size(), 1u);
